@@ -69,7 +69,7 @@ def main() -> int:
           f"at epoch {run.best_epoch}")
 
     if run.best_params is not None:
-        model.params.update(run.best_params)
+        model.load_arrays(run.best_params)
     per_class, mean = evaluate(model, test, batch_size=train_cfg.batch_size)
     print("test per-class IoU:",
           " ".join(f"{v:.4f}" for v in per_class))

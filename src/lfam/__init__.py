@@ -47,6 +47,7 @@ from .errors import (
     LabelError,
     LfamError,
     NumericalError,
+    PgmError,
     ScaleGuardError,
     ShapeError,
 )
@@ -91,7 +92,7 @@ __all__ = [
     "kfold_split", "load_dataset", "save_dataset",
     "CheckpointError", "ConfigError", "ContractError", "DegenerateWindowError",
     "GenerationError", "LabelError", "LfamError", "NumericalError",
-    "ScaleGuardError", "ShapeError",
+    "PgmError", "ScaleGuardError", "ShapeError",
     "ConvParams", "channel_norm", "conv2d", "he_conv", "maxpool2x2", "upconv2x2",
     "make_rng",
     "Tape", "Tensor", "backward", "grad_check", "masked_softmax", "softmax",

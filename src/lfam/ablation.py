@@ -99,8 +99,7 @@ def run_ablation(cfg: AblationConfig = AblationConfig()) -> AblationReport:
                                          lr_base=cfg.lr_base, seed=seed,
                                          loss=FocalIouLoss()))
             if run.best_params is not None:
-                for pname, p in model.params.items():
-                    p.data[...] = run.best_params[pname]
+                model.load_arrays(run.best_params)
             per_class, _ = evaluate(model, test, cfg.batch_size)
             scores.append(float(per_class[rare]))
         variants.append(VariantResult(name=name, per_seed=tuple(scores)))

@@ -15,13 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, GenerationError, ShapeError
+from .errors import ConfigError, ContractError, GenerationError, PgmError, ShapeError
 from .rng import make_rng
 from .tensor import Tensor
 
 _NOISE_HALF_WIDTH = 0.08
 _BASE_LO, _BASE_HI = 0.15, 0.9
 _PLACEMENT_RETRIES = 64
+_PGM_MAX_DIGITS = 9  # a longer PGM header number is malformed; int() refuses > 4300 digits
 
 
 @dataclass(frozen=True)
@@ -232,27 +233,36 @@ def write_pgm(path, arr: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
+    """Read an 8-bit binary PGM; every malformed file raises PgmError."""
     data = Path(path).read_bytes()
     if not data.startswith(b"P5"):
-        raise ContractError(f"{path}: not a binary PGM file")
+        raise PgmError(f"{path}: not a binary PGM file")
     fields, pos = [], 2
     while len(fields) < 3:
         while pos < len(data) and data[pos:pos + 1].isspace():
             pos += 1
         if data[pos:pos + 1] == b"#":
-            pos = data.index(b"\n", pos) + 1
+            pos = data.find(b"\n", pos)
+            if pos < 0:
+                raise PgmError(f"{path}: header ends inside a comment")
+            pos += 1
             continue
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
-        fields.append(int(data[start:pos]))
+        token = data[start:pos]
+        if not (token.isdigit() and len(token) <= _PGM_MAX_DIGITS):
+            raise PgmError(f"{path}: bad header field {token[:_PGM_MAX_DIGITS + 1]!r}")
+        fields.append(int(token))
     pos += 1  # single whitespace byte after maxval
     w, h, maxval = fields
     if maxval != 255:
-        raise ContractError(f"{path}: only 8-bit PGM supported, maxval {maxval}")
+        raise PgmError(f"{path}: only 8-bit PGM supported, maxval {maxval}")
+    if w == 0 or h == 0:
+        raise PgmError(f"{path}: empty {w}x{h} image")
     payload = data[pos:pos + h * w]
     if len(payload) != h * w:
-        raise ContractError(f"{path}: truncated payload, want {h * w} bytes got {len(payload)}")
+        raise PgmError(f"{path}: truncated payload, want {h * w} bytes got {len(payload)}")
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w).copy()
 
 

@@ -41,5 +41,12 @@ class ScaleGuardError(LfamError, ValueError):
     """A brute-force oracle was invoked above its intended desk scale."""
 
 
+class PgmError(ContractError, OSError):
+    """A PGM file is malformed: bad magic, header field, maxval, size or payload length.
+
+    It is an OSError, so the CLI reports it as a file error (exit 4).
+    """
+
+
 class CheckpointError(LfamError, IOError):
     """Checkpoint file is missing, malformed, or built for another architecture."""

@@ -1,10 +1,18 @@
 """Convolution, pooling, and upconvolution layers over the tape.
 
-conv2d lowers to an im2col matrix product; its backward scatters column
-gradients with one loop per kernel tap.  maxpool2x2 breaks ties toward the
-first position in row-major block order so forward and backward agree
-bit-for-bit.  upconv2x2 is the exact adjoint of a stride-2 kernel-2
-convolution with the in/out axes of the weight swapped.
+Every contraction, forward and backward, is one 2-D matrix product on
+contiguous operands (im2col/col2im lowering).  conv2d builds a channel-major
+im2col matrix cols of shape (kh*kw*ic, n*oh*ow), one strided slice copy per
+kernel tap from the (ic, n, h, w) view of the padded input, and computes
+wmat @ cols with wmat of shape (oc, kh*kw*ic).  Its output keeps that
+channel-major memory order, so the next conv's (ic, n, h, w) view is
+already contiguous.  Backward forms the weight gradient and the column
+gradients with one product each and scatters the columns back with one
+loop per kernel tap.  upconv2x2 is one (n*h*w, ic) @ (ic, oc*4) product,
+and each of its two gradients is one more; it is the exact adjoint of a
+stride-2 kernel-2 convolution with the in/out axes of the weight swapped.
+maxpool2x2 breaks ties toward the first position in row-major block order
+so forward and backward agree bit-for-bit.
 """
 
 from __future__ import annotations
@@ -77,29 +85,33 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     if c != ic:
         raise ShapeError(f"conv2d: input has {c} channels, weight expects {ic}")
     s, pad = p.stride, p.padding
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
     hp, wp = h + 2 * pad, w + 2 * pad
     if hp < kh or wp < kw or (hp - kh) % s or (wp - kw) % s:
         raise ShapeError(f"conv2d: input {x.shape} with k={kh} s={s} pad={pad} "
                          "gives a non-integer output size")
     oh, ow = (hp - kh) // s + 1, (wp - kw) // s + 1
 
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::s, ::s]  # (n, ic, oh, ow, kh, kw)
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n, oh * ow, ic * kh * kw)
-    wmat = p.weight.data.reshape(oc, ic * kh * kw)
-    out = (cols @ wmat.T).transpose(0, 2, 1).reshape(n, oc, oh, ow) + p.bias.data
+    xp = x.data.transpose(1, 0, 2, 3)  # (ic, n, h, w) view
+    if pad:
+        xp = np.pad(xp, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((kh, kw, ic, n, oh, ow), dtype=x.dtype)
+    for di in range(kh):
+        for dj in range(kw):
+            cols[di, dj] = xp[:, :, di:di + oh * s:s, dj:dj + ow * s:s]
+    cols = cols.reshape(kh * kw * ic, n * oh * ow)
+    wmat = p.weight.data.transpose(0, 2, 3, 1).reshape(oc, kh * kw * ic)
+    out = (wmat @ cols).reshape(oc, n, oh, ow).transpose(1, 0, 2, 3) + p.bias.data
 
     def vjp(g):
-        gmat = g.transpose(0, 2, 3, 1).reshape(n, oh * ow, oc)
+        gmat = g.transpose(1, 0, 2, 3).reshape(oc, n * oh * ow)
         gb = g.sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1)
-        gw = np.einsum("npo,npk->ok", gmat, cols).reshape(p.weight.shape)
-        gcols = (gmat @ wmat).reshape(n, oh, ow, ic, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-        gxp = np.zeros((n, ic, hp, wp), dtype=g.dtype)
+        gw = (gmat @ cols.T).reshape(oc, kh, kw, ic).transpose(0, 3, 1, 2)
+        gcols = (wmat.T @ gmat).reshape(kh, kw, ic, n, oh, ow)
+        gxp = np.zeros((ic, n, hp, wp), dtype=g.dtype)
         for di in range(kh):
             for dj in range(kw):
-                gxp[:, :, di:di + oh * s:s, dj:dj + ow * s:s] += gcols[:, :, :, :, di, dj]
-        gx = gxp[:, :, pad:pad + h, pad:pad + w] if pad else gxp
+                gxp[:, :, di:di + oh * s:s, dj:dj + ow * s:s] += gcols[di, dj]
+        gx = gxp[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3)
         return (gx, gw, gb)
 
     return _apply("conv2d", (x, p.weight, p.bias), out, vjp)
@@ -145,13 +157,17 @@ def upconv2x2(x: Tensor, p: ConvParams) -> Tensor:
     n, c, h, w = x.shape
     if c != ic:
         raise ShapeError(f"upconv2x2: input has {c} channels, weight expects {ic}")
-    out6 = np.einsum("nchw,ocij->nohiwj", x.data, p.weight.data)
-    out = out6.reshape(n, oc, 2 * h, 2 * w) + p.bias.data
+    wmat = p.weight.data.transpose(1, 0, 2, 3).reshape(ic, oc * 4)
+    ymat = x.data.transpose(0, 2, 3, 1).reshape(n * h * w, ic) @ wmat
+    out = (ymat.reshape(n, h, w, oc, 2, 2).transpose(0, 3, 1, 4, 2, 5)
+           .reshape(n, oc, 2 * h, 2 * w) + p.bias.data)
 
     def vjp(g):
-        g6 = g.reshape(n, oc, h, 2, w, 2)
-        gx = np.einsum("nohiwj,ocij->nchw", g6, p.weight.data)
-        gw = np.einsum("nohiwj,nchw->ocij", g6, x.data)
+        gmat = (g.reshape(n, oc, h, 2, w, 2).transpose(0, 2, 4, 1, 3, 5)
+                .reshape(n * h * w, oc * 4))
+        gx = (gmat @ wmat.T).reshape(n, h, w, ic).transpose(0, 3, 1, 2)
+        gw = (x.data.transpose(1, 0, 2, 3).reshape(ic, n * h * w) @ gmat
+              ).reshape(ic, oc, 2, 2).transpose(1, 0, 2, 3)
         gb = g.sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1)
         return (gx, gw, gb)
 

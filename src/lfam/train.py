@@ -428,8 +428,6 @@ def _write_run_outputs(out_dir, model: ModelState, run: RunLog) -> None:
     (out / "summary.json").write_text(json.dumps(run.summary(), indent=2) + "\n")
     if run.best_params is not None:
         current = {name: p.data.copy() for name, p in model.params.items()}
-        for name, p in model.params.items():
-            p.data[...] = run.best_params[name]
+        model.load_arrays(run.best_params)
         save_checkpoint(out / "best.ckpt", model)
-        for name, p in model.params.items():
-            p.data[...] = current[name]
+        model.load_arrays(current)

@@ -111,6 +111,25 @@ class ModelState:
     def parameter_count(self) -> int:
         return sum(t.size for t in self.params.values())
 
+    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copy named arrays into the parameter Tensors' data in place.
+
+        The Tensors stay the same objects, so the layers forward reads see
+        the new values.  The names must be exactly this model's parameters,
+        each with its parameter's shape; nothing is written unless all match.
+        """
+        unknown = sorted(arrays.keys() - self.params.keys())
+        missing = sorted(self.params.keys() - arrays.keys())
+        if unknown or missing:
+            raise ContractError(f"parameter names do not match the model: "
+                                f"unknown {unknown[:3]}, missing {missing[:3]}")
+        for name, t in self.params.items():
+            if np.shape(arrays[name]) != t.shape:
+                raise ShapeError(f"parameter {name!r} has shape {np.shape(arrays[name])}, "
+                                 f"expected {t.shape}")
+        for name, t in self.params.items():
+            t.data[...] = arrays[name]
+
 
 def _fusion_in_channels(cfg: UNetConfig, i: int) -> int:
     width = cfg.level_width(i)
@@ -301,7 +320,7 @@ def load_checkpoint(path, cfg: UNetConfig) -> ModelState:
 
     model = build_unet(cfg, seed=0)
     offset = 44
-    seen = set()
+    arrays = {}
     try:
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", buf, offset)
@@ -309,16 +328,11 @@ def load_checkpoint(path, cfg: UNetConfig) -> ModelState:
             name = buf[offset:offset + name_len].decode()
             offset += name_len
             t, offset = tensor_from_bytes(buf, offset)
-            if name not in model.params:
-                raise CheckpointError(f"checkpoint names unknown parameter {name!r}")
-            if t.shape != model.params[name].shape:
-                raise CheckpointError(f"parameter {name!r} has shape {t.shape}, "
-                                      f"expected {model.params[name].shape}")
-            model.params[name].data[...] = t.data
-            seen.add(name)
+            arrays[name] = t.data
     except (struct.error, IndexError, UnicodeDecodeError, ContractError) as exc:
         raise CheckpointError(f"truncated or corrupt checkpoint {path}") from exc
-    missing = set(model.params) - seen
-    if missing:
-        raise CheckpointError(f"checkpoint is missing parameters: {sorted(missing)[:3]}")
+    try:
+        model.load_arrays(arrays)
+    except (ContractError, ShapeError) as exc:
+        raise CheckpointError(f"checkpoint {path} does not fit the model: {exc}") from exc
     return model

@@ -208,6 +208,13 @@ class TestSubcommands:
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o2")]) == EXIT_OK
         assert (tmp_path / "o2" / "log.csv").exists()
 
+    def test_corrupt_pgm_under_data_root_is_file_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_TRAIN + f"data.root={tmp_path / 'ds'}\n")
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o1")]) == EXIT_OK
+        (tmp_path / "ds" / "images" / "0003.pgm").write_bytes(b"P5\nxx 4\n255\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o2")]) == EXIT_FILE
+        assert "0003.pgm" in capsys.readouterr().err
+
     def test_gradcheck_passes_and_prints_table(self, tmp_path, capsys):
         assert main(["gradcheck", "--out", str(tmp_path / "g")]) == EXIT_OK
         text = capsys.readouterr().out

@@ -1,6 +1,9 @@
 """Synthetic generation invariants, tiling, fold planning, class weights,
 and PGM round trips."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,7 @@ from lfam.data import (
     save_dataset,
     write_pgm,
 )
-from lfam.errors import ConfigError, ContractError, ShapeError
+from lfam.errors import ConfigError, ContractError, PgmError, ShapeError
 from lfam.tensor import Tensor
 
 
@@ -245,6 +248,31 @@ class TestPgmRoundTrip:
         (tmp_path / "w.pgm").write_bytes(b"P2\n2 2\n255\n0 0 0 0")
         with pytest.raises(ContractError):
             read_pgm(tmp_path / "w.pgm")
+
+    @pytest.mark.parametrize("raw", [b"P5\nxx 4\n255\n", b"P5\n4", b"P5\n# c",
+                                     b"P5\n" + b"9" * 5000 + b" 1\n255\n",
+                                     b"P5\n0 4\n255\n", b"P5\n2 2\n65535\n" + bytes(8)])
+    def test_malformed_header_raises_pgm_error(self, tmp_path, raw):
+        (tmp_path / "m.pgm").write_bytes(raw)
+        with pytest.raises(PgmError):
+            read_pgm(tmp_path / "m.pgm")
+
+    @given(st.one_of(st.binary(max_size=40),
+                     st.binary(max_size=40).map(lambda b: b"P5" + b),
+                     st.tuples(st.sampled_from([b"P5\n", b"P5 # c\n"]),
+                               st.lists(st.sampled_from([b"0", b"1", b"2", b"255", b"x", b" ",
+                                                         b"\n", b"#", b"-1"]), max_size=8),
+                               st.binary(max_size=8)).map(lambda t: t[0] + b"".join(t[1]) + t[2])))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bytes_parse_or_raise_pgm_error(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.pgm"
+            path.write_bytes(raw)
+            try:
+                arr = read_pgm(path)
+            except PgmError:
+                return
+        assert arr.dtype == np.uint8 and arr.ndim == 2 and arr.size > 0
 
     def test_non_uint8_write_rejected(self, tmp_path):
         with pytest.raises(ContractError):

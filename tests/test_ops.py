@@ -16,7 +16,9 @@ from lfam.ops import (
     upconv2x2,
 )
 from lfam.rng import make_rng
-from lfam.tensor import Tape, Tensor, backward, grad_check, pow_const, sum_all
+from lfam.tensor import Tape, Tensor, backward, grad_check, mul, pow_const, sum_all
+
+CONV_SPECS = [(1, 1, 0, 6), (3, 1, 1, 6), (3, 2, 1, 7), (2, 2, 0, 6)]  # (k, stride, pad, size)
 
 
 def conv_oracle(x, w, b, stride=1, pad=0):
@@ -34,6 +36,45 @@ def conv_oracle(x, w, b, stride=1, pad=0):
                     patch = xp[ni, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
                     out[ni, o, i, j] = (patch * w[o]).sum() + b[o]
     return out
+
+
+def conv_vjp_oracle(x, w, g, stride=1, pad=0):
+    """Adjoint of conv_oracle: scatter each output gradient back through its window."""
+    n, _, h, ww = x.shape
+    oc, _, kh, kw = w.shape
+    _, _, oh, ow = g.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for ni in range(n):
+        for o in range(oc):
+            for i in range(oh):
+                for j in range(ow):
+                    win = (ni, slice(None), slice(i * stride, i * stride + kh),
+                           slice(j * stride, j * stride + kw))
+                    gxp[win] += g[ni, o, i, j] * w[o]
+                    gw[o] += g[ni, o, i, j] * xp[win]
+    return gxp[:, :, pad:pad + h, pad:pad + ww], gw, g.sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1)
+
+
+def upconv_einsum_oracle(x, w, g):
+    """upconv2x2 forward and vjp written as einsums over the (n, o, h, i, w, j) blocks."""
+    n, _, h, ww = x.shape
+    oc = w.shape[0]
+    out = np.einsum("nchw,ocij->nohiwj", x, w).reshape(n, oc, 2 * h, 2 * ww)
+    g6 = g.reshape(n, oc, h, 2, ww, 2)
+    gx = np.einsum("nohiwj,ocij->nchw", g6, w)
+    gw = np.einsum("nohiwj,nchw->ocij", g6, x)
+    return out, gx, gw
+
+
+def input_grads(op, x, p, g):
+    """Run op under a tape with upstream gradient g; return (out, gx, gw, gb)."""
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        y = op(xt, p)
+        loss = sum_all(mul(y, Tensor(g)))
+    backward(tape, loss)
+    return y.data, xt.grad, p.weight.grad, p.bias.grad
 
 
 def make_params(rng, ic, oc, k, stride=1, pad=0, dtype=np.float64):
@@ -59,7 +100,7 @@ class TestConv2d:
         p = he_conv(2, 4, 3, make_rng(0))
         assert p.weight.size + p.bias.size == 76
 
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 1, 0, 6), (3, 1, 1, 6), (3, 2, 1, 7), (2, 2, 0, 6)]))
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(CONV_SPECS))
     @settings(max_examples=20, deadline=None)
     def test_matches_direct_loop(self, seed, spec):
         k, stride, pad, size = spec
@@ -69,6 +110,18 @@ class TestConv2d:
         got = conv2d(Tensor(x, dtype=np.float64), p).data
         want = conv_oracle(x, p.weight.data, p.bias.data.ravel(), stride, pad)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("spec", CONV_SPECS)
+    def test_vjp_matches_direct_loop_adjoint(self, spec):
+        k, stride, pad, size = spec
+        rng = make_rng(10 + k + stride)
+        x = rng.standard_normal((2, 3, size, size))
+        p = make_params(rng, 3, 2, k, stride, pad)
+        out = conv_oracle(x, p.weight.data, p.bias.data.ravel(), stride, pad)
+        g = rng.standard_normal(out.shape)
+        _, gx, gw, gb = input_grads(conv2d, x, p, g)
+        for got, want in zip((gx, gw, gb), conv_vjp_oracle(x, p.weight.data, g, stride, pad)):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     def test_padding_matches_manual_pad(self):
         rng = make_rng(4)
@@ -195,6 +248,17 @@ class TestUpconv:
         rhs = (x * upconv2x2(Tensor(u, dtype=np.float64), up).data).sum()
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
+    def test_vjp_matches_einsum_oracle(self):
+        rng = make_rng(12)
+        x = rng.standard_normal((2, 3, 4, 5))
+        p = make_params(rng, 3, 4, 2, stride=2)
+        g = rng.standard_normal((2, 4, 8, 10))
+        got = input_grads(upconv2x2, x, p, g)
+        out, gx, gw = upconv_einsum_oracle(x, p.weight.data, g)
+        want = (out + p.bias.data, gx, gw, g.sum(axis=(0, 2, 3)).reshape(1, 4, 1, 1))
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+
     def test_wrong_kernel_rejected(self):
         rng = make_rng(0)
         with pytest.raises(ContractError):
@@ -226,6 +290,21 @@ class TestUpconv:
         pooled, _ = maxpool2x2(x)
         p = he_conv(3, 3, 2, rng, stride=2)
         assert upconv2x2(pooled, p).shape == x.shape
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op, k, stride, pad", [(conv2d, 3, 1, 1), (conv2d, 1, 1, 0),
+                                                (conv2d, 2, 2, 0), (upconv2x2, 2, 2, 0)])
+def test_outputs_and_gradients_keep_the_input_dtype(op, k, stride, pad, dtype):
+    # read the vjp directly: accumulating into .grad would cast an upcast back
+    rng = make_rng(13)
+    x = Tensor(rng.standard_normal((2, 3, 4, 4)).astype(dtype), requires_grad=True)
+    p = make_params(rng, 3, 2, k, stride, pad, dtype=dtype)
+    with Tape() as tape:
+        out = op(x, p)
+    (node,) = tape.nodes
+    grads = node.vjp(np.ones_like(out.data))
+    assert [a.dtype for a in (out.data, *grads)] == [dtype] * 4
 
 
 class TestChannelNorm:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lfam.attention import LfamConfig, ResidualSource, global_attention_oracle
-from lfam.errors import CheckpointError, ConfigError, ShapeError
+from lfam.errors import CheckpointError, ConfigError, ContractError, ShapeError
 from lfam.rng import make_rng
 from lfam.tensor import Tape, Tensor, backward, grad_check, pow_const, sum_all
 from lfam.unet import (
@@ -213,6 +213,33 @@ class TestFlops:
         from lfam.ops import he_conv
         p = he_conv(2, 4, 3, make_rng(0))
         assert p.weight.size + p.bias.size == 76
+
+
+class TestLoadArrays:
+    def test_forward_reproduces_loaded_parameters(self):
+        source = build_unet(small_cfg("lfam"), seed=30)
+        target = build_unet(small_cfg("lfam"), seed=31)
+        x = Tensor(make_rng(32).standard_normal((2, 1, 8, 8)).astype(np.float32))
+        want = forward(source, x).data
+        assert not np.array_equal(forward(target, x).data, want)
+        target.load_arrays({name: t.data.copy() for name, t in source.params.items()})
+        np.testing.assert_array_equal(forward(target, x).data, want)
+
+    def test_mismatch_rejected_and_model_untouched(self):
+        model = build_unet(small_cfg(), seed=33)
+        before = {name: t.data.copy() for name, t in model.params.items()}
+        arrays = {name: np.zeros_like(a) for name, a in before.items()}
+        wrong_shape = dict(arrays, **{"head.bias": np.zeros(3, dtype=np.float32)})
+        with pytest.raises(ShapeError):
+            model.load_arrays(wrong_shape)
+        missing = dict(arrays)
+        del missing["head.bias"]
+        with pytest.raises(ContractError):
+            model.load_arrays(missing)
+        with pytest.raises(ContractError):
+            model.load_arrays(dict(arrays, extra=np.zeros(1)))
+        for name, t in model.params.items():
+            np.testing.assert_array_equal(t.data, before[name])
 
 
 class TestCheckpoint:
