@@ -42,6 +42,7 @@ from .errors import (
     CheckpointError,
     ConfigError,
     ContractError,
+    DatasetError,
     DegenerateWindowError,
     GenerationError,
     LabelError,
@@ -90,7 +91,7 @@ __all__ = [
     "network_cost_report", "reference_levels", "render_cost_table",
     "LabeledImage", "compute_class_weights", "crop_tiles", "gen_synthetic",
     "kfold_split", "load_dataset", "save_dataset",
-    "CheckpointError", "ConfigError", "ContractError", "DegenerateWindowError",
+    "CheckpointError", "ConfigError", "ContractError", "DatasetError", "DegenerateWindowError",
     "GenerationError", "LabelError", "LfamError", "NumericalError",
     "PgmError", "ScaleGuardError", "ShapeError",
     "ConvParams", "channel_norm", "conv2d", "he_conv", "maxpool2x2", "upconv2x2",

@@ -190,22 +190,25 @@ def lfam_attention(encoder: Tensor, decoder: Tensor, params: LfamParams,
     v = conv2d(kv_src, params.value)
 
     pad_h, pad_w = grid.rows * m - h, grid.cols * m - w
-    batch = n * grid.n_windows
+    nw, mm = grid.n_windows, m * m
 
     def rows_of(t: Tensor) -> Tensor:
         if pad_h or pad_w:
             t = pad_bottom_right(t, pad_h, pad_w)
         tiles = window_split(t, m)
-        return reshape(permute(tiles, (0, 2, 3, 1)), (batch, 1, m * m, d))
+        return reshape(permute(tiles, (0, 2, 3, 1)), (n, nw, mm, d))
 
     qm, km, vm = rows_of(q), rows_of(k), rows_of(v)
     logits = bmm(qm, permute(km, (0, 1, 3, 2)))
     if cfg.scale_logits:
         logits = mul_const(logits, 1.0 / np.sqrt(d))
-    weights = masked_softmax(logits, np.tile(grid.key_mask, (n, 1, 1, 1)))
+    # unpadded windows have only real keys; otherwise the (nw, 1, 1, mm) key
+    # mask, viewed as (1, nw, 1, mm), broadcasts over batch and query rows
+    mask = grid.key_mask.reshape(1, nw, 1, mm) if pad_h or pad_w else None
+    weights = masked_softmax(logits, mask)
     gathered = bmm(weights, vm)
 
-    tiles = permute(reshape(gathered, (batch, m, m, d)), (0, 3, 1, 2))
+    tiles = permute(reshape(gathered, (n * nw, m, m, d)), (0, 3, 1, 2))
     fused = window_merge(tiles, n, grid.rows * m, grid.cols * m)
     if pad_h or pad_w:
         fused = crop_top_left(fused, h, w)
@@ -215,7 +218,7 @@ def lfam_attention(encoder: Tensor, decoder: Tensor, params: LfamParams,
     elif cfg.residual_source is ResidualSource.DECODER:
         fused = add(fused, decoder)
 
-    attn = AttentionWeights(grid, weights.data.reshape(n, grid.n_windows, m * m, m * m))
+    attn = AttentionWeights(grid, weights.data)
     return fused, attn
 
 

@@ -293,7 +293,7 @@ def _write_provenance(out: Path, cfg: RunConfig, command: str) -> None:
 
 def _load_images(cfg: RunConfig):
     if cfg.data_root:
-        images = load_dataset(cfg.data_root)
+        images = load_dataset(cfg.data_root, cfg.num_classes)
     else:
         images = gen_synthetic(cfg.n_images, cfg.image_size, cfg.num_classes,
                                cfg.rare_class_frac, seed=cfg.seed, workers=cfg.workers)

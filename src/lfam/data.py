@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, GenerationError, PgmError, ShapeError
+from .errors import ConfigError, ContractError, DatasetError, GenerationError, PgmError, ShapeError
 from .rng import make_rng
 from .tensor import Tensor
 
@@ -279,17 +279,29 @@ def save_dataset(root, images: list[LabeledImage]) -> None:
         write_pgm(root / "masks" / f"{i:04d}.pgm", sample.mask.astype(np.uint8))
 
 
-def load_dataset(root) -> list[LabeledImage]:
+def load_dataset(root, num_classes: int | None = None) -> list[LabeledImage]:
+    """Read a save_dataset directory back.
+
+    Every image needs a mask of the same name and the reverse; given
+    num_classes, every mask label must be below it.  A file that breaks
+    either rule raises DatasetError naming it.
+    """
     root = Path(root)
     image_paths = sorted((root / "images").glob("*.pgm"))
     mask_paths = sorted((root / "masks").glob("*.pgm"))
     if not image_paths:
         raise FileNotFoundError(f"no PGM images under {root / 'images'}")
-    if [p.name for p in image_paths] != [p.name for p in mask_paths]:
-        raise ContractError(f"image and mask filenames do not pair up under {root}")
+    images, masks = {p.name for p in image_paths}, {p.name for p in mask_paths}
+    unpaired = sorted(images ^ masks)
+    if unpaired:
+        name = unpaired[0]
+        have, lack = ("images", "masks") if name in images else ("masks", "images")
+        raise DatasetError(f"{root / have / name} has no partner in {root / lack}")
     out = []
     for ip, mp in zip(image_paths, mask_paths):
         gray = read_pgm(ip).astype(np.float32) / 255.0
-        out.append(LabeledImage(image=Tensor(gray[None, None]),
-                                mask=read_pgm(mp).astype(np.int64)))
+        mask = read_pgm(mp).astype(np.int64)
+        if num_classes is not None and mask.max() >= num_classes:
+            raise DatasetError(f"{mp}: mask label {mask.max()} outside [0, {num_classes})")
+        out.append(LabeledImage(image=Tensor(gray[None, None]), mask=mask))
     return out

@@ -48,5 +48,13 @@ class PgmError(ContractError, OSError):
     """
 
 
+class DatasetError(ContractError, OSError):
+    """A dataset directory is unusable: an image without its mask or the reverse,
+    or a mask holding a label outside [0, num_classes).
+
+    It is an OSError, so the CLI reports it as a file error (exit 4).
+    """
+
+
 class CheckpointError(LfamError, IOError):
     """Checkpoint file is missing, malformed, or built for another architecture."""

@@ -3,8 +3,8 @@
 Tensors are (batch, channels, height, width) arrays stored row-major.
 Operations executed while a Tape is active append nodes in creation
 order; backward() replays the nodes once, in reverse, and accumulates
-gradients into every requires_grad tensor.  Without an active tape the
-same functions are plain numpy computations.
+gradients into every requires_grad tensor not produced on the tape.
+Without an active tape the same functions are plain numpy computations.
 
 Training code runs in float32; gradient checking must run in float64
 because central differences are unreliable in single precision.
@@ -32,7 +32,8 @@ class Tensor:
     Lower-rank input is left-padded with singleton axes, so a plain nested
     list behaves as a (1, 1, r, c) matrix.  Tensors are immutable after
     construction except for gradient accumulation into .grad (and parameter
-    updates, which require exclusive access).
+    updates, which require exclusive access).  backward fills .grad only on
+    tensors not produced on the tape, such as parameters and inputs.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -167,11 +168,13 @@ def _apply(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, vjp: Callabl
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into .grad of every requires_grad tensor.
+    """Accumulate d(loss)/d(tensor) into .grad of every requires_grad leaf.
 
-    Gradients add to whatever is already in .grad; callers zero between
-    steps.  Flow buffers are private to each invocation, so running backward
-    twice over the same tape doubles every gradient exactly.
+    Only leaves, the requires_grad tensors not produced on this tape, receive
+    .grad; outputs of recorded nodes pass their gradient on and keep .grad
+    None.  Gradients add to whatever is already in .grad; callers zero
+    between steps.  Flow buffers are private to each invocation, so running
+    backward twice over the same tape doubles every gradient exactly.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -182,8 +185,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
         holders.pop(id(node.out), None)
         if g is None:
             continue  # output never reached the loss
-        if node.out.requires_grad:
-            _accumulate(node.out, g)
         input_grads = node.vjp(g)
         for t, gi in zip(node.inputs, input_grads):
             if gi is None:
@@ -420,37 +421,33 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     return _apply("bmm", (a, b), out, vjp)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Plain matrix product of tensors viewed as (1, 1, r, k) and (1, 1, k, c)."""
-    if a.shape[:2] != (1, 1) or b.shape[:2] != (1, 1):
-        raise ShapeError(f"matmul expects (1,1,r,k) matrices, got {a.shape} x {b.shape}")
-    if a.shape[3] != b.shape[2]:
-        raise ShapeError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return bmm(a, b)
-
-
 # ---------------------------------------------------------------------------
 # softmax
 
 
 def _softmax(a: Tensor, axis: int, mask: np.ndarray | None, op: str) -> Tensor:
-    if not np.isfinite(a.data).all():
-        raise NumericalError(f"{op}: logits contain non-finite values")
     x = a.data
+    if not np.isfinite(x).all():
+        raise NumericalError(f"{op}: logits contain non-finite values")
     if mask is None:
-        shifted = x - x.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
+        p = x - x.max(axis=axis, keepdims=True)
     else:
-        mb = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        if (~mb).all(axis=axis).any():
+        mask = np.asarray(mask, dtype=bool)
+        mask = mask.reshape((1,) * (x.ndim - mask.ndim) + mask.shape)
+        np.broadcast_to(mask, x.shape)  # raises unless mask broadcasts to the logits
+        if not mask.any(axis=axis).all():
             raise DegenerateWindowError(f"{op}: a row has every position masked")
-        rowmax = np.max(np.where(mb, x, -np.inf), axis=axis, keepdims=True)
-        e = np.where(mb, np.exp(np.where(mb, x - rowmax, 0.0)), 0.0)
-    p = e / e.sum(axis=axis, keepdims=True)
+        p = np.where(mask, x, -np.inf)
+        p -= p.max(axis=axis, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=axis, keepdims=True)
+    subs = "abcd"
+    row_dot = f"{subs},{subs}->{subs.replace(subs[axis], '')}"
 
     def vjp(g):
-        inner = (g * p).sum(axis=axis, keepdims=True)
-        return (p * (g - inner),)
+        gx = g - np.expand_dims(np.einsum(row_dot, g, p), axis)
+        gx *= p
+        return (gx,)
 
     return _apply(op, (a,), p, vjp)
 
@@ -459,8 +456,10 @@ def masked_softmax(logits: Tensor, mask: np.ndarray | None) -> Tensor:
     """Softmax over the last axis; masked positions output exactly 0.
 
     mask is a boolean array broadcastable to logits, True marking real
-    positions.  Unmasked outputs sum to 1 per row; a fully masked row is a
-    degenerate window and raises.
+    positions, or None when every position is real.  Masked logits are set
+    to -inf before the row max is subtracted, so exp gives them exactly 0
+    and they add nothing to the row sum.  Unmasked outputs sum to 1 per
+    row; a fully masked row is a degenerate window and raises.
     """
     return _softmax(logits, 3, mask, "masked_softmax")
 

@@ -13,7 +13,10 @@ with repr, so two runs with one seed produce byte-identical logs.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -417,17 +420,33 @@ def train_loop(model: ModelState, data, cfg: TrainConfig, out_dir=None, lfam_fn=
     return run
 
 
-def _write_run_outputs(out_dir, model: ModelState, run: RunLog) -> None:
-    import pathlib
+def _replace_atomically(path: Path, write: Callable[[Path], None]) -> None:
+    """Run write on a temporary file beside path, then rename it over path.
 
-    out = pathlib.Path(out_dir)
+    Readers see the old file or the new one, never a partial write; if
+    write fails, path is left as it was and the temporary file is removed.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_run_outputs(out_dir, model: ModelState, run: RunLog) -> None:
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     k = model.config.num_classes
     header = "epoch,lr,train_loss,val_mean_iou," + ",".join(f"iou_class{i}" for i in range(k))
-    (out / "log.csv").write_text("\n".join([header] + run.lines()) + "\n")
-    (out / "summary.json").write_text(json.dumps(run.summary(), indent=2) + "\n")
+    log_text = "\n".join([header] + run.lines()) + "\n"
+    summary_text = json.dumps(run.summary(), indent=2) + "\n"
+    _replace_atomically(out / "log.csv", lambda p: p.write_text(log_text))
+    _replace_atomically(out / "summary.json", lambda p: p.write_text(summary_text))
     if run.best_params is not None:
         current = {name: p.data.copy() for name, p in model.params.items()}
         model.load_arrays(run.best_params)
-        save_checkpoint(out / "best.ckpt", model)
-        model.load_arrays(current)
+        try:
+            _replace_atomically(out / "best.ckpt", lambda p: save_checkpoint(p, model))
+        finally:
+            model.load_arrays(current)

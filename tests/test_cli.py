@@ -22,6 +22,7 @@ from lfam.cli import (
     parse_config,
     parse_config_text,
 )
+from lfam.data import read_pgm, write_pgm
 from lfam.errors import ConfigError
 
 
@@ -214,6 +215,23 @@ class TestSubcommands:
         (tmp_path / "ds" / "images" / "0003.pgm").write_bytes(b"P5\nxx 4\n255\n")
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o2")]) == EXIT_FILE
         assert "0003.pgm" in capsys.readouterr().err
+
+    def test_image_without_mask_under_data_root_is_file_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_TRAIN + f"data.root={tmp_path / 'ds'}\n")
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o1")]) == EXIT_OK
+        (tmp_path / "ds" / "masks" / "0005.pgm").unlink()
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o2")]) == EXIT_FILE
+        assert str(tmp_path / "ds" / "images" / "0005.pgm") in capsys.readouterr().err
+
+    def test_mask_label_outside_classes_is_file_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_TRAIN + f"data.root={tmp_path / 'ds'}\n")
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o1")]) == EXIT_OK
+        path = tmp_path / "ds" / "masks" / "0002.pgm"
+        mask = read_pgm(path)
+        mask[3, 4] = 9
+        write_pgm(path, mask)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o2")]) == EXIT_FILE
+        assert "0002.pgm" in capsys.readouterr().err
 
     def test_gradcheck_passes_and_prints_table(self, tmp_path, capsys):
         assert main(["gradcheck", "--out", str(tmp_path / "g")]) == EXIT_OK

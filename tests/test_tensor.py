@@ -21,7 +21,6 @@ from lfam.tensor import (
     load_tensor,
     log,
     masked_softmax,
-    matmul,
     mul,
     mul_const,
     neg,
@@ -55,6 +54,28 @@ def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def softmax_oracle(x: np.ndarray, mask) -> np.ndarray:
+    """The former three-np.where masked softmax over the last axis, the bitwise oracle."""
+    if mask is None:
+        e = np.exp(x - x.max(axis=3, keepdims=True))
+    else:
+        mb = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
+        rowmax = np.max(np.where(mb, x, -np.inf), axis=3, keepdims=True)
+        e = np.where(mb, np.exp(np.where(mb, x - rowmax, 0.0)), 0.0)
+    return e / e.sum(axis=3, keepdims=True)
+
+
+def _window_mask(kind):
+    """A (1, 3, 1, 16) per-window key mask broadcast over batch and query rows."""
+    if kind is None:
+        return None
+    mask = np.ones((1, 3, 1, 16), dtype=bool)
+    if kind == "padded":
+        mask[0, 1, 0, 12:] = False
+        mask[0, 2, 0, 3::4] = False
+    return mask
+
+
 class TestConstruction:
     def test_zeros_sum(self):
         t = Tensor(np.zeros((2, 3, 4, 4)))
@@ -81,12 +102,12 @@ class TestMatmul:
     def test_identity(self):
         eye = Tensor(np.eye(2))
         b = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(matmul(eye, b).data[0, 0], b.data[0, 0])
+        np.testing.assert_array_equal(bmm(eye, b).data[0, 0], b.data[0, 0])
 
     def test_frozen_product(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        got = matmul(Tensor(a), Tensor(b)).data[0, 0]
+        got = bmm(Tensor(a), Tensor(b)).data[0, 0]
         np.testing.assert_array_equal(got, [[19.0, 22.0], [43.0, 50.0]])
         np.testing.assert_allclose(got, matmul_oracle(a, b))
 
@@ -97,14 +118,14 @@ class TestMatmul:
         r, k, c = rng.integers(1, 6, size=3)
         a = rng.standard_normal((r, k))
         b = rng.standard_normal((k, c))
-        got = matmul(Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64)).data[0, 0]
+        got = bmm(Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64)).data[0, 0]
         np.testing.assert_allclose(got, matmul_oracle(a, b), rtol=1e-12)
 
     def test_inner_dim_mismatch_names_both_shapes(self):
         a = Tensor(np.zeros((1, 1, 2, 3)))
         b = Tensor(np.zeros((1, 1, 4, 2)))
         with pytest.raises(ShapeError, match=r"\(1, 1, 2, 3\).*\(1, 1, 4, 2\)"):
-            matmul(a, b)
+            bmm(a, b)
 
     def test_bmm_matches_per_slice_products(self):
         rng = make_rng(7)
@@ -161,6 +182,28 @@ class TestSoftmax:
         rng = make_rng(3)
         p = softmax(Tensor(rng.standard_normal((2, 5, 3, 3))))
         np.testing.assert_allclose(p.data.sum(axis=1), 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["padded", "all_true", None])
+    def test_matches_three_where_formula_bitwise(self, dtype, kind):
+        rng = make_rng(12)
+        x = (4.0 * rng.standard_normal((2, 3, 16, 16))).astype(dtype)
+        mask = _window_mask(kind)
+        got = masked_softmax(Tensor(x), mask).data
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, softmax_oracle(x, mask))
+
+    @pytest.mark.parametrize("fn,axis,kind", [(masked_softmax, 3, "padded"),
+                                              (masked_softmax, 3, None),
+                                              (lambda t, _: softmax(t, axis=1), 1, None)])
+    def test_vjp_matches_former_formula(self, fn, axis, kind):
+        rng = make_rng(13)
+        x = Tensor(rng.standard_normal((2, 3, 16, 16)), requires_grad=True, dtype=np.float64)
+        g = rng.standard_normal(x.shape)
+        with Tape() as tape:
+            p = fn(x, _window_mask(kind)).data
+        (gx,) = tape.nodes[-1].vjp(g)
+        np.testing.assert_allclose(gx, p * (g - (g * p).sum(axis=axis, keepdims=True)), rtol=1e-12)
 
     def test_extreme_logits_stay_finite(self):
         x = Tensor(np.array([1000.0, 0.0, -1000.0]).reshape(1, 1, 1, 3))
@@ -236,6 +279,19 @@ class TestBackward:
             loss = sum_all(x)
         backward(tape, loss)
         assert y.grad is None
+
+    def test_only_leaves_receive_grad(self):
+        x = Tensor(np.array([[-1.0, 2.0], [3.0, 0.5]]), requires_grad=True, dtype=np.float64)
+        w = Tensor(np.full((1, 1, 2, 2), 2.0), requires_grad=True, dtype=np.float64)
+        with Tape() as tape:
+            y = mul(x, w)
+            z = relu(y)
+            loss = sum_all(mul(z, z))
+        backward(tape, loss)
+        assert y.grad is None and z.grad is None and loss.grad is None
+        # d/dx (relu(2x))^2 = 8x where x > 0; d/dw = 2 relu(wx) x
+        np.testing.assert_array_equal(x.grad[0, 0], [[0.0, 16.0], [24.0, 4.0]])
+        np.testing.assert_array_equal(w.grad[0, 0], [[0.0, 16.0], [36.0, 1.0]])
 
 
 class TestGradCheck:

@@ -2,12 +2,14 @@
 endpoints, IoU counting, and training-loop determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lfam.train
 from lfam.data import LabeledImage, gen_synthetic
 from lfam.errors import ConfigError, ContractError, LabelError, NumericalError
 from lfam.tensor import Tensor, grad_check
@@ -404,6 +406,24 @@ class TestTrainLoop:
         restored = load_checkpoint(tmp_path / "best.ckpt", model.config)
         for name, p in restored.params.items():
             np.testing.assert_array_equal(p.data, run.best_params[name])
+
+    def test_failed_checkpoint_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        model, data, cfg = tiny_setup(epochs=2)
+        run = train_loop(model, data, cfg, out_dir=tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        params = {name: p.data.copy() for name, p in model.params.items()}
+
+        def save_half_then_fail(path, _model):
+            Path(path).write_bytes(before["best.ckpt"][:100])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(lfam.train, "save_checkpoint", save_half_then_fail)
+        run.best_params = {name: a + 1.0 for name, a in run.best_params.items()}
+        with pytest.raises(OSError, match="disk full"):
+            lfam.train._write_run_outputs(tmp_path, model, run)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(p.data, params[name])
 
     def test_best_tracking_prefers_highest_validation_iou(self):
         model, data, cfg = tiny_setup(epochs=4)
