@@ -25,7 +25,7 @@ from .costmodel import cost_report, network_cost_report, reference_levels, rende
 from .data import compute_class_weights, crop_tiles, gen_synthetic, load_dataset, save_dataset
 from .errors import CheckpointError, ConfigError, LfamError, NumericalError
 from .rng import make_rng
-from .train import FocalIouLoss, TrainConfig, WeightedCeLoss, evaluate, train_loop
+from .train import FocalIouLoss, TrainConfig, WeightedCeLoss, evaluate, replace_atomically, train_loop
 from .unet import SkipSpec, UNetConfig, build_unet, load_checkpoint
 from .verify import gradient_suite, render_suite
 
@@ -45,7 +45,6 @@ class RunConfig:
 
     seed: int = 0
     out_dir: str = "runs/latest"
-    workers: int = 1
 
     data_root: str = ""
     n_images: int = 64
@@ -147,7 +146,6 @@ class KeySpec:
 KEYS: dict[str, KeySpec] = {
     "run.seed": KeySpec("seed", int, ">= 0", lambda v: v >= 0),
     "run.out_dir": KeySpec("out_dir", str),
-    "run.workers": KeySpec("workers", int, ">= 1", lambda v: v >= 1),
     "data.root": KeySpec("data_root", str),
     "data.n_images": KeySpec("n_images", int, ">= 1", lambda v: v >= 1),
     "data.size": KeySpec("image_size", int, ">= 8", lambda v: v >= 8),
@@ -186,18 +184,23 @@ KEYS: dict[str, KeySpec] = {
     "cost.input_size": KeySpec("cost_input_size", int, ">= 1", lambda v: v >= 1),
 }
 
-_FIELD_TO_KEY = {spec.field: key for key, spec in KEYS.items()}
-assert set(_FIELD_TO_KEY) == {f.name for f in fields(RunConfig)}
+assert {spec.field for spec in KEYS.values()} == {f.name for f in fields(RunConfig)}
+
+
+def _value_error(key: str, spec: KeySpec, value) -> str | None:
+    """Why value is not allowed for key, or None when it is."""
+    if spec.allowed and value not in spec.allowed:
+        return f"{key} must be one of {', '.join(spec.allowed)}, got {value!r}"
+    if spec.check is not None and not spec.check(value):
+        return f"{key} must be {spec.valid}, got {value!r}"
+    return None
 
 
 def _validate_fields(cfg: RunConfig) -> None:
     for key, spec in KEYS.items():
-        value = getattr(cfg, spec.field)
-        if spec.allowed and value not in spec.allowed:
-            raise ConfigError(f"{key} must be one of {', '.join(spec.allowed)}, "
-                              f"got {value!r}")
-        if spec.check is not None and not spec.check(value):
-            raise ConfigError(f"{key} must be {spec.valid}, got {value!r}")
+        problem = _value_error(key, spec, getattr(cfg, spec.field))
+        if problem:
+            raise ConfigError(problem)
 
 
 def _convert(key: str, spec: KeySpec, value: str, where: str):
@@ -236,11 +239,9 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
                               f"(first set on line {first_line[key]})")
         first_line[key] = lineno
         converted = _convert(key, spec, value, where)
-        if spec.allowed and converted not in spec.allowed:
-            raise ConfigError(f"{where}: {key} must be one of "
-                              f"{', '.join(spec.allowed)}, got {converted!r}")
-        if spec.check is not None and not spec.check(converted):
-            raise ConfigError(f"{where}: {key} must be {spec.valid}, got {converted!r}")
+        problem = _value_error(key, spec, converted)
+        if problem:
+            raise ConfigError(f"{where}: {problem}")
         values[spec.field] = converted
     return RunConfig(**values)
 
@@ -283,20 +284,33 @@ def _resolve_out_dir(cfg: RunConfig) -> Path:
     return Path(os.environ.get(OUT_DIR_ENV) or cfg.out_dir)
 
 
+def _write_text(path: Path, text: str) -> None:
+    replace_atomically(path, lambda p: p.write_text(text))
+
+
 def _write_provenance(out: Path, cfg: RunConfig, command: str) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(emit_config(cfg))
-    (out / "run.json").write_text(json.dumps(
+    _write_text(out / "config.txt", emit_config(cfg))
+    _write_text(out / "run.json", json.dumps(
         {"command": command, "seed": cfg.seed, "version": _version_string()},
         indent=2) + "\n")
 
 
 def _load_images(cfg: RunConfig):
+    # sizes the network cannot take fail here, before any data is generated
+    factor = 1 << cfg.depth
+    if cfg.tile % factor:
+        raise ConfigError(f"data.tile must be a multiple of 2**unet.depth = {factor}, got {cfg.tile}")
+    if not cfg.data_root and cfg.tile > cfg.image_size:
+        raise ConfigError(f"data.tile must be at most data.size = {cfg.image_size}, got {cfg.tile}")
+    if not cfg.data_root and not cfg.tile and cfg.image_size % factor:
+        raise ConfigError(f"data.size must be a multiple of 2**unet.depth = {factor}, "
+                          f"got {cfg.image_size}")
     if cfg.data_root:
         images = load_dataset(cfg.data_root, cfg.num_classes)
     else:
         images = gen_synthetic(cfg.n_images, cfg.image_size, cfg.num_classes,
-                               cfg.rare_class_frac, seed=cfg.seed, workers=cfg.workers)
+                               cfg.rare_class_frac, seed=cfg.seed)
     if cfg.tile > 0:
         images = [t for im in images for t in crop_tiles(im, cfg.tile)]
     return images
@@ -336,7 +350,7 @@ def _cmd_eval(cfg: RunConfig, out: Path) -> int:
     for i, v in enumerate(per_class):
         print(f"class {i} IoU: {v:.4f}")
     print(f"mean IoU: {miou:.4f} over {len(images)} images")
-    (out / "eval.json").write_text(json.dumps(
+    _write_text(out / "eval.json", json.dumps(
         {"checkpoint": cfg.checkpoint, "mean_iou": miou,
          "per_class_iou": [float(v) for v in per_class]}, indent=2) + "\n")
     return EXIT_OK
@@ -363,7 +377,7 @@ def _cmd_cost(cfg: RunConfig, out: Path, json_output: bool) -> int:
 def _cmd_gen_data(cfg: RunConfig, out: Path) -> int:
     root = Path(cfg.data_root) if cfg.data_root else out / "dataset"
     images = gen_synthetic(cfg.n_images, cfg.image_size, cfg.num_classes,
-                           cfg.rare_class_frac, seed=cfg.seed, workers=cfg.workers)
+                           cfg.rare_class_frac, seed=cfg.seed)
     save_dataset(root, images)
     print(f"wrote {len(images)} images ({cfg.image_size}x{cfg.image_size}, "
           f"{cfg.num_classes} classes) to {root}")

@@ -102,17 +102,21 @@ def reference_levels(local_range: int = 7) -> tuple[FusionLevel, ...]:
     return tuple(FusionLevel(s, s, c, local_range) for s, c in zip(sizes, channels))
 
 
-def levels_from_widths(input_size: int, base_channels: int, depth: int,
-                       local_range: int, proj_channels: int | None = None) -> tuple[FusionLevel, ...]:
-    """Fusion levels for a width-doubling encoder: level i at size/2^i, base*2^i channels."""
-    if input_size % (1 << max(depth - 1, 0)):
-        raise ConfigError(f"input size {input_size} not divisible across {depth} levels")
-    out = []
-    for i in range(depth):
-        side = input_size >> i
-        d = proj_channels if proj_channels else base_channels << i
-        out.append(FusionLevel(side, side, d, local_range))
-    return tuple(out)
+def fusion_levels(cfg, input_size: int) -> dict[int, FusionLevel]:
+    """Attention sites of a UNetConfig-like object on a square input, keyed by level.
+
+    Level i is input_size >> i on a side and projects to proj_channels, or
+    to its own width base_channels << i.  Like forward, the input side must
+    be a positive multiple of 2**depth.
+    """
+    factor = 1 << cfg.depth
+    if input_size < 1 or input_size % factor:
+        raise ConfigError(f"input size {input_size} must be a positive multiple of "
+                          f"2**depth = {factor}")
+    return {i: FusionLevel(input_size >> i, input_size >> i,
+                           skip.lfam.proj_channels or cfg.base_channels << i,
+                           skip.lfam.local_range)
+            for i, skip in enumerate(cfg.skips) if skip.kind == "lfam"}
 
 
 @dataclass(frozen=True)
@@ -155,19 +159,11 @@ def cost_report(levels) -> CostReport:
 
 
 def network_cost_report(cfg, input_size: int) -> CostReport:
-    """Cost report for a UNetConfig-like object fusing with attention at every level."""
-    lfam_levels = []
-    for i, skip in enumerate(cfg.skips):
-        if skip.kind != "lfam":
-            continue
-        side = input_size >> i
-        if side < 1 or (input_size % (1 << i)):
-            raise ConfigError(f"input size {input_size} not divisible at level {i}")
-        d = skip.lfam.proj_channels or cfg.base_channels << i
-        lfam_levels.append(FusionLevel(side, side, d, skip.lfam.local_range))
-    if not lfam_levels:
+    """Cost report over the attention fusion levels of a UNetConfig-like object."""
+    levels = fusion_levels(cfg, input_size)
+    if not levels:
         raise ConfigError("config has no attention fusion levels to cost")
-    return cost_report(lfam_levels)
+    return cost_report(tuple(levels.values()))
 
 
 def render_cost_table(report: CostReport) -> str:

@@ -111,11 +111,11 @@ def _gen_one(seed: int, index: int, size: int, num_classes: int,
 
 
 def gen_synthetic(n_images: int, size: int, num_classes: int,
-                  rare_class_frac: float, seed: int, workers: int = 1) -> list[LabeledImage]:
+                  rare_class_frac: float, seed: int) -> list[LabeledImage]:
     """Background, 1..k-2 shape classes, then a rare last class, with seeded noise.
 
     Each image draws from its own counter stream, so the output is identical
-    for any worker count and any n_images prefix.
+    for any n_images prefix.
     """
     if n_images < 1:
         raise ConfigError(f"n_images must be >= 1, got {n_images}")
@@ -125,18 +125,7 @@ def gen_synthetic(n_images: int, size: int, num_classes: int,
         raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
     if not 0.0 < rare_class_frac < 0.1:
         raise ConfigError(f"rare_class_frac must lie in (0, 0.1), got {rare_class_frac}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-
-    if workers == 1:
-        return [_gen_one(seed, i, size, num_classes, rare_class_frac)
-                for i in range(n_images)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(
-            lambda i: _gen_one(seed, i, size, num_classes, rare_class_frac),
-            range(n_images)))
+    return [_gen_one(seed, i, size, num_classes, rare_class_frac) for i in range(n_images)]
 
 
 # ---------------------------------------------------------------------------

@@ -533,14 +533,3 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
         raise ContractError("tensor record: truncated payload")
     data = np.frombuffer(buf[start:end], dtype="<f4").reshape(dims)
     return Tensor(data.astype(np.float32)), end
-
-
-def save_tensor(path, t: Tensor) -> None:
-    with open(path, "wb") as fh:
-        fh.write(tensor_to_bytes(t))
-
-
-def load_tensor(path) -> Tensor:
-    with open(path, "rb") as fh:
-        t, _ = tensor_from_bytes(fh.read())
-    return t

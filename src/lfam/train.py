@@ -354,17 +354,17 @@ def _stack_batch(images) -> tuple[Tensor, np.ndarray]:
     return Tensor(x), t
 
 
-def evaluate(model: ModelState, images, batch_size: int = 8, lfam_fn=None) -> tuple[np.ndarray, float]:
+def evaluate(model: ModelState, images, batch_size: int = 8) -> tuple[np.ndarray, float]:
     """Per-class IoU and mean IoU of argmax predictions over a dataset."""
     acc = IouAccumulator(model.config.num_classes)
     for start in range(0, len(images), batch_size):
         x, t = _stack_batch(images[start:start + batch_size])
-        logits = forward(model, x, lfam_fn=lfam_fn)
+        logits = forward(model, x)
         acc.update(predict_labels(logits), t)
     return mean_iou(acc)
 
 
-def train_loop(model: ModelState, data, cfg: TrainConfig, out_dir=None, lfam_fn=None) -> RunLog:
+def train_loop(model: ModelState, data, cfg: TrainConfig, out_dir=None) -> RunLog:
     """Seeded shuffle, forward, loss, backward, step; tracks best validation IoU.
 
     data is a (train_images, val_images) pair of LabeledImage lists.  With
@@ -388,7 +388,7 @@ def train_loop(model: ModelState, data, cfg: TrainConfig, out_dir=None, lfam_fn=
             where = f"at epoch {epoch} batch {b_start // cfg.batch_size} (lr {lr!r})"
             try:
                 with Tape() as tape:
-                    logits = forward(model, x, lfam_fn=lfam_fn)
+                    logits = forward(model, x)
                     loss = compute_loss(logits, t, cfg.loss)
             except NumericalError as exc:
                 raise NumericalError(f"{exc} {where}") from exc
@@ -402,7 +402,7 @@ def train_loop(model: ModelState, data, cfg: TrainConfig, out_dir=None, lfam_fn=
             loss_sum += loss_value * len(batch)
 
         if val_images:
-            per_class, miou = evaluate(model, val_images, cfg.batch_size, lfam_fn=lfam_fn)
+            per_class, miou = evaluate(model, val_images, cfg.batch_size)
         else:
             per_class = np.full(model.config.num_classes, np.nan)
             miou = float("nan")
@@ -420,7 +420,7 @@ def train_loop(model: ModelState, data, cfg: TrainConfig, out_dir=None, lfam_fn=
     return run
 
 
-def _replace_atomically(path: Path, write: Callable[[Path], None]) -> None:
+def replace_atomically(path: Path, write: Callable[[Path], None]) -> None:
     """Run write on a temporary file beside path, then rename it over path.
 
     Readers see the old file or the new one, never a partial write; if
@@ -441,12 +441,12 @@ def _write_run_outputs(out_dir, model: ModelState, run: RunLog) -> None:
     header = "epoch,lr,train_loss,val_mean_iou," + ",".join(f"iou_class{i}" for i in range(k))
     log_text = "\n".join([header] + run.lines()) + "\n"
     summary_text = json.dumps(run.summary(), indent=2) + "\n"
-    _replace_atomically(out / "log.csv", lambda p: p.write_text(log_text))
-    _replace_atomically(out / "summary.json", lambda p: p.write_text(summary_text))
+    replace_atomically(out / "log.csv", lambda p: p.write_text(log_text))
+    replace_atomically(out / "summary.json", lambda p: p.write_text(summary_text))
     if run.best_params is not None:
         current = {name: p.data.copy() for name, p in model.params.items()}
         model.load_arrays(run.best_params)
         try:
-            _replace_atomically(out / "best.ckpt", lambda p: save_checkpoint(p, model))
+            replace_atomically(out / "best.ckpt", lambda p: save_checkpoint(p, model))
         finally:
             model.load_arrays(current)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import LfamConfig, LfamParams, init_lfam_params, lfam_forward
-from .costmodel import attention_flops_local
+from .costmodel import attention_flops_local, fusion_levels
 from .errors import CheckpointError, ConfigError, ContractError, ShapeError
 from .ops import ConvParams, NormParams, channel_norm, conv2d, he_conv, init_norm, maxpool2x2, upconv2x2
 from .rng import make_rng
@@ -32,24 +32,16 @@ _SKIP_KINDS = ("concat", "lfam", "none")
 
 @dataclass(frozen=True)
 class SkipSpec:
-    """Fusion choice for one decoder level.
-
-    fuse_concat keeps the concatenation alongside attention output (an
-    alternative wiring preserved behind this flag); it is meaningless for
-    the other kinds.
-    """
+    """Fusion choice for one decoder level; lfam settings exactly when kind is 'lfam'."""
 
     kind: str = "concat"
     lfam: LfamConfig | None = None
-    fuse_concat: bool = False
 
     def __post_init__(self):
         if self.kind not in _SKIP_KINDS:
             raise ConfigError(f"skip kind must be one of {_SKIP_KINDS}, got {self.kind!r}")
         if (self.kind == "lfam") != (self.lfam is not None):
             raise ConfigError("lfam settings are required exactly when kind is 'lfam'")
-        if self.fuse_concat and self.kind != "lfam":
-            raise ConfigError("fuse_concat only applies to lfam skips")
 
 
 @dataclass(frozen=True)
@@ -85,9 +77,10 @@ def _skip_token(s: SkipSpec) -> str:
     if s.kind != "lfam":
         return s.kind
     lf = s.lfam
+    # fuse=0 is the removed fuse_concat flag; keeping it keeps existing checkpoints' fingerprints
     return (f"lfam(m={lf.local_range},res={lf.residual_source.value},"
             f"proj={lf.proj_channels},scale={int(lf.scale_logits)},"
-            f"swap={int(lf.swap_qkv)},fuse={int(s.fuse_concat)})")
+            f"swap={int(lf.swap_qkv)},fuse=0)")
 
 
 def config_fingerprint(cfg: UNetConfig) -> str:
@@ -138,8 +131,7 @@ def _fusion_in_channels(cfg: UNetConfig, i: int) -> int:
         return 2 * width
     if s.kind == "none":
         return width
-    d = s.lfam.proj_channels or width
-    return d + width if s.fuse_concat else d
+    return s.lfam.proj_channels or width
 
 
 def build_unet(cfg: UNetConfig, seed: int, dtype=np.float32) -> ModelState:
@@ -230,14 +222,13 @@ def forward(model: ModelState, x: Tensor, lfam_fn=None) -> Tensor:
         if spec.kind == "concat":
             t = concat_channels(skips[i], t)
         elif spec.kind == "lfam":
-            fused = lfam_fn(skips[i], t, model.layers[f"dec{i}.fuse"], spec.lfam)
-            t = concat_channels(fused, t) if spec.fuse_concat else fused
+            t = lfam_fn(skips[i], t, model.layers[f"dec{i}.fuse"], spec.lfam)
         t = conv_block(t, f"dec{i}")
     return conv2d(t, model.layers["head"])
 
 
-def count_flops_and_params(model: ModelState, input_size) -> tuple[int, int]:
-    """Analytic forward cost for one image of the given size, and parameter count.
+def count_flops_and_params(model: ModelState, input_size: int) -> tuple[int, int]:
+    """Analytic forward cost for one square image of side input_size, and parameter count.
 
     Counts multiply-add work only (1 MAC = 2 flops): convolutions,
     upconvolutions, attention projections, and the windowed attention
@@ -245,37 +236,25 @@ def count_flops_and_params(model: ModelState, input_size) -> tuple[int, int]:
     adds are free under this convention.
     """
     cfg = model.config
-    h, w = (input_size, input_size) if isinstance(input_size, int) else input_size
-    factor = 1 << cfg.depth
-    if h % factor or w % factor:
-        raise ShapeError(f"spatial dims {h}x{w} must be divisible by {factor}")
+    levels = fusion_levels(cfg, input_size)
 
-    flops = 0
+    def conv_cost(p: ConvParams, side: int) -> int:
+        return 2 * p.out_channels * p.in_channels * p.kernel * p.kernel * side * side
 
-    def conv_cost(p: ConvParams, oh: int, ow: int) -> int:
-        return 2 * p.out_channels * p.in_channels * p.kernel * p.kernel * oh * ow
+    def block_cost(prefix: str, side: int) -> int:
+        return sum(conv_cost(model.layers[f"{prefix}.conv{j}"], side) for j in (1, 2))
 
-    def block_cost(prefix: str, oh: int, ow: int) -> int:
-        return sum(conv_cost(model.layers[f"{prefix}.conv{j}"], oh, ow) for j in (1, 2))
-
-    hh, ww = h, w
+    flops = block_cost("bottleneck", input_size >> cfg.depth)
     for i in range(cfg.depth):
-        flops += block_cost(f"enc{i}", hh, ww)
-        hh, ww = hh // 2, ww // 2
-    flops += block_cost("bottleneck", hh, ww)
-
-    for i in reversed(range(cfg.depth)):
+        side = input_size >> i
+        flops += block_cost(f"enc{i}", side) + block_cost(f"dec{i}", side)
         up: ConvParams = model.layers[f"dec{i}.up"]
-        flops += 2 * up.out_channels * up.in_channels * 4 * hh * ww
-        hh, ww = hh * 2, ww * 2
-        spec = cfg.skips[i]
-        if spec.kind == "lfam":
-            fuse: LfamParams = model.layers[f"dec{i}.fuse"]
-            d, c_in = fuse.proj_channels, fuse.in_channels
-            flops += 3 * 2 * d * c_in * hh * ww
-            flops += attention_flops_local(hh, ww, d, spec.lfam.local_range)
-        flops += block_cost(f"dec{i}", hh, ww)
-    flops += conv_cost(model.layers["head"], hh, ww)
+        flops += 2 * up.out_channels * up.in_channels * 4 * (side >> 1) ** 2
+        lv = levels.get(i)
+        if lv is not None:
+            flops += 3 * 2 * lv.channels * cfg.level_width(i) * side * side
+            flops += attention_flops_local(lv.height, lv.width, lv.channels, lv.local_range)
+    flops += conv_cost(model.layers["head"], input_size)
     return flops, model.parameter_count()
 
 

@@ -2,6 +2,7 @@
 end-to-end subcommand runs through main()."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ class TestParseConfig:
 
 class TestEmitRoundTrip:
     def test_emit_parses_back_to_equal_config(self):
-        cfg = RunConfig(seed=11, out_dir="o", workers=2, n_images=16,
+        cfg = RunConfig(seed=11, out_dir="o", n_images=16,
                         image_size=16, num_classes=3, rare_class_frac=0.03,
                         depth=1, skip="concat", local_range=5,
                         residual_source="decoder", scale_logits=True,
@@ -233,6 +234,34 @@ class TestSubcommands:
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o2")]) == EXIT_FILE
         assert "0002.pgm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size, tile", [(18, 0), (16, 6), (16, 32)])
+    def test_size_the_network_cannot_take_is_config_error(self, tmp_path, capsys, size, tile):
+        text = SMALL_TRAIN.replace("data.size=16", f"data.size={size}\ndata.tile={tile}")
+        cfg = write_cfg(tmp_path, text.replace("unet.depth=1", "unet.depth=2"))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert ("data.tile" if tile else "data.size") in capsys.readouterr().err
+
+    def test_failed_eval_json_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert main(["train", "--config", write_cfg(tmp_path, SMALL_TRAIN),
+                     "--out", str(out)]) == EXIT_OK
+        eval_cfg = write_cfg(tmp_path, SMALL_TRAIN +
+                             f"eval.checkpoint={out / 'best.ckpt'}\n", "eval.cfg")
+        assert main(["eval", "--config", eval_cfg, "--out", str(out)]) == EXIT_OK
+        before = (out / "eval.json").read_bytes()
+        write_text = Path.write_text
+
+        def write_half_then_fail(path, text, *args, **kwargs):
+            if not path.name.startswith("eval.json"):
+                return write_text(path, text, *args, **kwargs)
+            write_text(path, text[:len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        assert main(["eval", "--config", eval_cfg, "--out", str(out)]) == EXIT_FILE
+        assert (out / "eval.json").read_bytes() == before
+        assert not list(out.glob("*.tmp"))
+
     def test_gradcheck_passes_and_prints_table(self, tmp_path, capsys):
         assert main(["gradcheck", "--out", str(tmp_path / "g")]) == EXIT_OK
         text = capsys.readouterr().out
@@ -250,6 +279,10 @@ class TestSubcommands:
         record = json.loads(capsys.readouterr().out)
         assert len(record["levels"]) == 4
         assert record["ratio"] < 0.05
+
+    def test_cost_input_smaller_than_the_network_is_config_error(self, tmp_path):
+        cfg = write_cfg(tmp_path, "cost.geometry=model\ncost.input_size=2\nunet.depth=2\n")
+        assert main(["cost", "--config", cfg, "--out", str(tmp_path / "c")]) == EXIT_CONFIG
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE

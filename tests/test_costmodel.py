@@ -10,7 +10,6 @@ from lfam.costmodel import (
     attention_flops_global,
     attention_flops_local,
     cost_report,
-    levels_from_widths,
     n_windows,
     network_cost_report,
     reference_levels,
@@ -119,12 +118,6 @@ class TestReports:
         parsed = json.loads(json.dumps(record))
         assert len(parsed["levels"]) == 4
         assert parsed["total_global"] == sum(lv["flops_global"] for lv in parsed["levels"])
-
-    def test_levels_from_widths(self):
-        levels = levels_from_widths(32, 8, 3, 4)
-        assert [(lv.height, lv.channels) for lv in levels] == [(32, 8), (16, 16), (8, 32)]
-        with pytest.raises(ConfigError):
-            levels_from_widths(10, 8, 3, 4)
 
     def test_empty_levels_rejected(self):
         with pytest.raises(ConfigError):

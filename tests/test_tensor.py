@@ -18,7 +18,6 @@ from lfam.tensor import (
     crop_top_left,
     div,
     grad_check,
-    load_tensor,
     log,
     masked_softmax,
     mul,
@@ -29,7 +28,6 @@ from lfam.tensor import (
     pow_const,
     relu,
     reshape,
-    save_tensor,
     softmax,
     sub,
     sum_all,
@@ -383,12 +381,12 @@ class TestWindows:
 
 
 class TestSerialization:
-    def test_roundtrip_bitwise(self, tmp_path):
+    def test_roundtrip_bitwise(self):
         rng = make_rng(11)
         t = Tensor(rng.standard_normal((2, 3, 5, 7)).astype(np.float32))
-        path = tmp_path / "t.lft"
-        save_tensor(path, t)
-        back = load_tensor(path)
+        buf = tensor_to_bytes(t)
+        back, end = tensor_from_bytes(buf)
+        assert end == len(buf)
         assert back.shape == t.shape
         np.testing.assert_array_equal(back.data, t.data)
 

@@ -87,15 +87,6 @@ class TestBuild:
         assert concat.layers["dec0.conv1"].in_channels == 4
         assert fused.layers["dec0.conv1"].in_channels == 2
 
-    def test_fuse_concat_keeps_both_maps(self):
-        spec = SkipSpec(kind="lfam", lfam=LfamConfig(local_range=4), fuse_concat=True)
-        cfg = UNetConfig(in_channels=1, num_classes=3, base_channels=2, depth=2,
-                         skips=(spec, spec))
-        model = build_unet(cfg, seed=0)
-        assert model.layers["dec0.conv1"].in_channels == 4
-        x = Tensor(make_rng(0).standard_normal((1, 1, 8, 8)).astype(np.float32))
-        assert forward(model, x).shape == (1, 3, 8, 8)
-
 
 class TestForward:
     @pytest.mark.parametrize("skip", ["concat", "lfam", "none"])
@@ -197,17 +188,18 @@ class TestFlops:
         assert params == model.parameter_count()
 
     def test_lfam_adds_projection_and_window_terms(self):
-        from lfam.costmodel import attention_flops_local
+        from lfam.costmodel import attention_flops_local, network_cost_report
         base = build_unet(small_cfg("none"), seed=0)
         fused = build_unet(small_cfg("lfam"), seed=0)
         f_base, _ = count_flops_and_params(base, 8)
         f_fused, _ = count_flops_and_params(fused, 8)
-        extra = 0
+        projections = windows = 0
         for i, side in ((0, 8), (1, 4)):
             width = 2 << i
-            extra += 3 * 2 * width * width * side * side
-            extra += attention_flops_local(side, side, width, 4)
-        assert f_fused - f_base == extra
+            projections += 3 * 2 * width * width * side * side
+            windows += attention_flops_local(side, side, width, 4)
+        assert f_fused - f_base == projections + windows
+        assert windows == network_cost_report(fused.config, 8).total_local
 
     def test_param_example_3x3(self):
         from lfam.ops import he_conv
@@ -254,6 +246,12 @@ class TestCheckpoint:
         for name in model.params:
             np.testing.assert_array_equal(restored.params[name].data, model.params[name].data)
         np.testing.assert_array_equal(forward(restored, x).data, before)
+
+    def test_default_run_config_fingerprint_is_frozen(self):
+        # checkpoints written by earlier versions must keep loading
+        from lfam.cli import RunConfig
+        assert config_fingerprint(RunConfig().unet_config()) == (
+            "805382e0ac577d7d379812c4db53359bfb53788e090588330bf352340c9a4fd5")
 
     def test_wrong_architecture_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
