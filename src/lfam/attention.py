@@ -195,8 +195,7 @@ def lfam_attention(encoder: Tensor, decoder: Tensor, params: LfamParams,
     def rows_of(t: Tensor) -> Tensor:
         if pad_h or pad_w:
             t = pad_bottom_right(t, pad_h, pad_w)
-        tiles = window_split(t, m)
-        return reshape(permute(tiles, (0, 2, 3, 1)), (n, nw, mm, d))
+        return reshape(window_split(t, m), (n, nw, mm, d))  # a view of the tiles
 
     qm, km, vm = rows_of(q), rows_of(k), rows_of(v)
     logits = bmm(qm, permute(km, (0, 1, 3, 2)))
@@ -208,8 +207,7 @@ def lfam_attention(encoder: Tensor, decoder: Tensor, params: LfamParams,
     weights = masked_softmax(logits, mask)
     gathered = bmm(weights, vm)
 
-    tiles = permute(reshape(gathered, (n * nw, m, m, d)), (0, 3, 1, 2))
-    fused = window_merge(tiles, n, grid.rows * m, grid.cols * m)
+    fused = window_merge(reshape(gathered, (n * nw, m, m, d)), n, grid.rows * m, grid.cols * m)
     if pad_h or pad_w:
         fused = crop_top_left(fused, h, w)
 

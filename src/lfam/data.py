@@ -268,12 +268,16 @@ def save_dataset(root, images: list[LabeledImage]) -> None:
         write_pgm(root / "masks" / f"{i:04d}.pgm", sample.mask.astype(np.uint8))
 
 
-def load_dataset(root, num_classes: int | None = None) -> list[LabeledImage]:
+def load_dataset(root, num_classes: int | None = None, *,
+                 side_multiple: int = 1, min_side: int = 1) -> list[LabeledImage]:
     """Read a save_dataset directory back.
 
     Every image needs a mask of the same name and the reverse; given
-    num_classes, every mask label must be below it.  A file that breaks
-    either rule raises DatasetError naming it.
+    num_classes, every mask label must be below it.  Both sides of every
+    image must be multiples of side_multiple and at least min_side (the
+    network's 2**depth and the tile size, which a config cannot check
+    before the files are read).  A file that breaks a rule raises
+    DatasetError naming it.
     """
     root = Path(root)
     image_paths = sorted((root / "images").glob("*.pgm"))
@@ -292,5 +296,11 @@ def load_dataset(root, num_classes: int | None = None) -> list[LabeledImage]:
         mask = read_pgm(mp).astype(np.int64)
         if num_classes is not None and mask.max() >= num_classes:
             raise DatasetError(f"{mp}: mask label {mask.max()} outside [0, {num_classes})")
+        h, w = gray.shape
+        if h % side_multiple or w % side_multiple:
+            raise DatasetError(f"{ip}: image {h}x{w} has a side that is not a multiple "
+                               f"of {side_multiple}")
+        if min(h, w) < min_side:
+            raise DatasetError(f"{ip}: image {h}x{w} has a side below {min_side}")
         out.append(LabeledImage(image=Tensor(gray[None, None]), mask=mask))
     return out

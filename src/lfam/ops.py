@@ -1,12 +1,14 @@
 """Convolution, pooling, and upconvolution layers over the tape.
 
 Every contraction, forward and backward, is one 2-D matrix product on
-contiguous operands (im2col/col2im lowering).  conv2d builds a channel-major
-im2col matrix cols of shape (kh*kw*ic, n*oh*ow), one strided slice copy per
-kernel tap from the (ic, n, h, w) view of the padded input, and computes
+contiguous operands (im2col/col2im lowering, Chellapilla et al. 2006).
+conv2d builds a channel-major im2col matrix cols of shape
+(kh*kw*ic, n*oh*ow) with one np.ascontiguousarray over a strided
+sliding-window view of the (ic, n, h, w) padded input, and computes
 wmat @ cols with wmat of shape (oc, kh*kw*ic).  Its output keeps that
 channel-major memory order, so the next conv's (ic, n, h, w) view is
-already contiguous.  Backward forms the weight gradient and the column
+already contiguous; for a 1x1 stride-1 conv that view is cols itself and
+nothing is copied.  Backward forms the weight gradient and the column
 gradients with one product each and scatters the columns back with one
 loop per kernel tap.  upconv2x2 is one (n*h*w, ic) @ (ic, oc*4) product,
 and each of its two gradients is one more; it is the exact adjoint of a
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, ShapeError
 from .tensor import (
@@ -94,11 +97,9 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     xp = x.data.transpose(1, 0, 2, 3)  # (ic, n, h, w) view
     if pad:
         xp = np.pad(xp, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((kh, kw, ic, n, oh, ow), dtype=x.dtype)
-    for di in range(kh):
-        for dj in range(kw):
-            cols[di, dj] = xp[:, :, di:di + oh * s:s, dj:dj + ow * s:s]
-    cols = cols.reshape(kh * kw * ic, n * oh * ow)
+    # (ic, n, oh, ow, kh, kw) window view, copied tap-major
+    taps = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
+    cols = np.ascontiguousarray(taps.transpose(4, 5, 0, 1, 2, 3)).reshape(kh * kw * ic, n * oh * ow)
     wmat = p.weight.data.transpose(0, 2, 3, 1).reshape(oc, kh * kw * ic)
     out = (wmat @ cols).reshape(oc, n, oh, ow).transpose(1, 0, 2, 3) + p.bias.data
 

@@ -1,6 +1,10 @@
 """Dense 4-D tensors and a reverse-mode differentiation tape.
 
-Tensors are (batch, channels, height, width) arrays stored row-major.
+Tensors are 4-D arrays indexed (batch, channels, height, width); their
+memory order is whatever the producing op left (conv outputs are
+channel-major).  Window tiles are the one other layout: window_split gives
+channel-last (n*N, m, m, c) tiles, which attention views as (n, N, m*m, c)
+rows without a copy, and window_merge takes the same layout back.
 Operations executed while a Tape is active append nodes in creation
 order; backward() replays the nodes once, in reverse, and accumulates
 gradients into every requires_grad tensor not produced on the tape.
@@ -129,7 +133,6 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._out_ids: set[int] = set()
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.stack.append(self)
@@ -139,10 +142,6 @@ class Tape:
         popped = _TAPE_STACK.stack.pop()
         assert popped is self, "tape stack corrupted"
         return False
-
-    def _record(self, node: _Node) -> None:
-        self.nodes.append(node)
-        self._out_ids.add(id(node.out))
 
 
 class _TapeStack(threading.local):
@@ -163,7 +162,7 @@ def _apply(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, vjp: Callabl
     track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=track)
     if track:
-        tape._record(_Node(op, inputs, out, vjp))
+        tape.nodes.append(_Node(op, inputs, out, vjp))
     return out
 
 
@@ -178,27 +177,19 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    flows: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
+    # id -> (tensor, gradient flowing into it); every recorded output has
+    # requires_grad, so that flag alone decides which inputs get a flow
+    flows: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones_like(loss.data))}
     for node in reversed(tape.nodes):
-        g = flows.pop(id(node.out), None)
-        holders.pop(id(node.out), None)
-        if g is None:
+        entry = flows.pop(id(node.out), None)
+        if entry is None:
             continue  # output never reached the loss
-        input_grads = node.vjp(g)
-        for t, gi in zip(node.inputs, input_grads):
-            if gi is None:
+        for t, gi in zip(node.inputs, node.vjp(entry[1])):
+            if gi is None or not t.requires_grad:
                 continue
-            if not (t.requires_grad or id(t) in tape._out_ids):
-                continue  # constant leaf, nothing downstream wants this
-            tid = id(t)
-            if tid in flows:
-                flows[tid] = flows[tid] + gi
-            else:
-                flows[tid] = gi
-                holders[tid] = t
-    for tid, g in flows.items():  # leaves: tensors never produced on this tape
-        t = holders[tid]
+            prev = flows.get(id(t))
+            flows[id(t)] = (t, gi if prev is None else prev[1] + gi)
+    for t, g in flows.values():  # leaves: tensors never produced on this tape
         if t.requires_grad:
             _accumulate(t, g)
 
@@ -342,41 +333,27 @@ def crop_top_left(a: Tensor, h: int, w: int) -> Tensor:
     _, _, ah, aw = a.shape
     if h > ah or w > aw:
         raise ShapeError(f"crop_top_left: ({h}, {w}) exceeds map size {a.shape}")
-
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        full[:, :, :h, :w] = g
-        return (full,)
-
-    return _apply("crop_top_left", (a,), a.data[:, :, :h, :w].copy(), vjp)
+    return _apply("crop_top_left", (a,), a.data[:, :, :h, :w].copy(),
+                  lambda g: (np.pad(g, ((0, 0), (0, 0), (0, ah - h), (0, aw - w))),))
 
 
 def window_split(a: Tensor, m: int) -> Tensor:
-    """Partition (n, c, H, W) into disjoint m-by-m tiles: (n*N, c, m, m).
+    """Partition (n, c, H, W) into disjoint m-by-m tiles, channel last: (n*N, m, m, c).
 
     H and W must already be multiples of m; windows are ordered row-major
-    within each batch item, batch-major overall.
+    within each batch item, batch-major overall.  The tiles are contiguous,
+    so viewing them as (n, N, m*m, c) attention rows copies nothing.
     """
     n, c, hh, ww = a.shape
     if hh % m or ww % m:
         raise ShapeError(f"window_split: {a.shape} not tileable by m={m}")
-    rows, cols = hh // m, ww // m
-    out = (a.data.reshape(n, c, rows, m, cols, m)
-           .transpose(0, 2, 4, 1, 3, 5)
-           .reshape(n * rows * cols, c, m, m))
-
-    def vjp(g):
-        back = (g.reshape(n, rows, cols, c, m, m)
-                .transpose(0, 3, 1, 4, 2, 5)
-                .reshape(n, c, hh, ww))
-        return (back,)
-
-    return _apply("window_split", (a,), out, vjp)
+    return _apply("window_split", (a,), _map_to_tiles(a.data, m),
+                  lambda g: (_tiles_to_map(g, n, hh // m, ww // m),))
 
 
 def window_merge(a: Tensor, n: int, h: int, w: int) -> Tensor:
-    """Inverse of window_split: (n*N, c, m, m) back to (n, c, h, w)."""
-    total, c, m, m2 = a.shape
+    """Inverse of window_split: channel-last tiles (n*N, m, m, c) back to (n, c, h, w)."""
+    total, m, m2, c = a.shape
     if m != m2:
         raise ShapeError(f"window_merge: tiles must be square, got {a.shape}")
     if h % m or w % m:
@@ -384,17 +361,22 @@ def window_merge(a: Tensor, n: int, h: int, w: int) -> Tensor:
     rows, cols = h // m, w // m
     if total != n * rows * cols:
         raise ShapeError(f"window_merge: {total} tiles cannot fill {n}x{h}x{w} with m={m}")
-    out = (a.data.reshape(n, rows, cols, c, m, m)
-           .transpose(0, 3, 1, 4, 2, 5)
-           .reshape(n, c, h, w))
+    return _apply("window_merge", (a,), _tiles_to_map(a.data, n, rows, cols),
+                  lambda g: (_map_to_tiles(g, m),))
 
-    def vjp(g):
-        back = (g.reshape(n, c, rows, m, cols, m)
-                .transpose(0, 2, 4, 1, 3, 5)
-                .reshape(total, c, m, m))
-        return (back,)
 
-    return _apply("window_merge", (a,), out, vjp)
+def _map_to_tiles(x: np.ndarray, m: int) -> np.ndarray:
+    n, c, hh, ww = x.shape
+    return (x.reshape(n, c, hh // m, m, ww // m, m)
+            .transpose(0, 2, 4, 3, 5, 1)
+            .reshape(-1, m, m, c))
+
+
+def _tiles_to_map(tiles: np.ndarray, n: int, rows: int, cols: int) -> np.ndarray:
+    _, m, _, c = tiles.shape
+    return (tiles.reshape(n, rows, cols, m, m, c)
+            .transpose(0, 5, 1, 3, 2, 4)
+            .reshape(n, c, rows * m, cols * m))
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +409,13 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
 
 def _softmax(a: Tensor, axis: int, mask: np.ndarray | None, op: str) -> Tensor:
     x = a.data
-    if not np.isfinite(x).all():
+    # NaN and -inf show in the min, +inf in the max: no full-size bool scan
+    row_max = x.max(axis=axis, keepdims=True) if mask is None else None
+    hi = x.max() if row_max is None else row_max.max()
+    if not (np.isfinite(x.min()) and np.isfinite(hi)):
         raise NumericalError(f"{op}: logits contain non-finite values")
     if mask is None:
-        p = x - x.max(axis=axis, keepdims=True)
+        p = x - row_max
     else:
         mask = np.asarray(mask, dtype=bool)
         mask = mask.reshape((1,) * (x.ndim - mask.ndim) + mask.shape)

@@ -25,12 +25,10 @@ from .rng import make_rng
 from .tensor import (
     Tape,
     Tensor,
-    add_const,
     backward,
     div,
     log,
     mul,
-    neg,
     pow_const,
     softmax,
     sum_all,
@@ -99,24 +97,26 @@ def focal_iou_loss(logits: Tensor, target: np.ndarray, cfg: FocalIouLoss) -> Ten
     """focal_weight * mean(-alpha (1-p_t)^gamma ln p_t) + iou_weight * mean(1 - softIoU)."""
     target = _check_target(logits, target)
     n, k, h, w = logits.shape
-    onehot = Tensor(_one_hot(target, k, logits.dtype))
+    onehot = _one_hot(target, k, logits.dtype)
     p = softmax(logits, axis=1)
-    pt = sum_axes(mul(p, onehot), (1,))
+    overlap = mul(p, Tensor(onehot))
+    pt = sum_axes(overlap, (1,))
 
-    focal = sum_all(mul(pow_const(add_const(neg(pt), 1.0), cfg.gamma), neg(log(pt))))
-    focal = focal * (cfg.alpha / (n * h * w))
+    # the minus sign of -ln p_t rides on the constant factor
+    focal = sum_all(mul(pow_const(1.0 - pt, cfg.gamma), log(pt)))
+    focal = focal * (-cfg.alpha / (n * h * w))
 
     axes = (2, 3) if cfg.per_image else (0, 2, 3)
-    overlap = mul(p, onehot)
-    inter = sum_axes(overlap, axes)
-    union = sum_axes(p + onehot - overlap, axes)
+    count = onehot.sum(axis=axes, keepdims=True)
     # present: classes with at least one target pixel (per image when split)
-    present = (onehot.data.sum(axis=axes, keepdims=True) > 0).astype(logits.dtype)
+    present = (count > 0).astype(logits.dtype)
     n_present = float(present.sum())
-    # absent-class unions may vanish; bump them so the excluded division stays finite
-    union = union + Tensor(1.0 - present)
-    iou = div(inter, union)
-    iou_loss = sum_all(mul(add_const(neg(iou), 1.0), Tensor(present))) * (1.0 / n_present)
+    inter = sum_axes(overlap, axes)
+    # sum(p + onehot - p*onehot); absent-class unions may vanish, so bump
+    # them by 1 to keep the excluded division finite
+    union = sum_axes(p, axes) - inter + Tensor(count + 1.0 - present)
+    # mean of 1 - iou over the present classes
+    iou_loss = sum_all(mul(div(inter, union), Tensor(present))) * (-1.0 / n_present) + 1.0
 
     return focal * cfg.focal_weight + iou_loss * cfg.iou_weight
 
@@ -134,8 +134,8 @@ def weighted_ce(logits: Tensor, target: np.ndarray, class_weights) -> Tensor:
     p = softmax(logits, axis=1)
     pt = sum_axes(mul(p, onehot), (1,))
     wmap = weights[target][:, None]  # (n, 1, h, w)
-    loss = sum_all(mul(Tensor(wmap), neg(log(pt))))
-    return loss * (1.0 / float(wmap.sum()))
+    loss = sum_all(mul(Tensor(wmap), log(pt)))
+    return loss * (-1.0 / float(wmap.sum()))
 
 
 def compute_loss(logits: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:

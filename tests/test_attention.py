@@ -20,7 +20,7 @@ from lfam.attention import (
 )
 from lfam.errors import ConfigError, ScaleGuardError, ShapeError
 from lfam.rng import make_rng
-from lfam.tensor import Tensor, grad_check, pow_const, sum_all
+from lfam.tensor import Tape, Tensor, grad_check, pow_const, sum_all
 
 
 def random_pair(rng, n=1, c=3, h=8, w=8, dtype=np.float64):
@@ -234,6 +234,17 @@ class TestResidualAndShape:
         params = init_lfam_params(2, rng)
         out = lfam_forward(enc, dec, params, LfamConfig(local_range=m))
         assert out.shape == enc.shape
+
+
+class TestTapeSize:
+    def test_unpadded_call_records_sixteen_nodes(self):
+        # 3 projections, 3 x (split, view), key transpose, 2 bmm, softmax,
+        # view, merge, residual add
+        rng = make_rng(36)
+        enc, dec = random_pair(rng, c=4, h=8, w=8, dtype=np.float32)
+        with Tape() as tape:
+            lfam_forward(enc, dec, init_lfam_params(4, rng), LfamConfig(local_range=4))
+        assert len(tape.nodes) == 16
 
 
 class TestOracleGuard:

@@ -234,6 +234,17 @@ class TestSubcommands:
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o2")]) == EXIT_FILE
         assert "0002.pgm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tile, problem", [(0, "not a multiple of 4"), (32, "below 32")])
+    def test_image_the_network_cannot_take_under_data_root_is_file_error(
+            self, tmp_path, capsys, tile, problem):
+        text = SMALL_TRAIN.replace("data.size=16", "data.size=18") + f"data.root={tmp_path / 'ds'}\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o1")]) == EXIT_OK
+        cfg = write_cfg(tmp_path, text.replace("unet.depth=1", "unet.depth=2") + f"data.tile={tile}\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o2")]) == EXIT_FILE
+        err = capsys.readouterr().err
+        assert str(tmp_path / "ds" / "images" / "0000.pgm") in err and problem in err
+
     @pytest.mark.parametrize("size, tile", [(18, 0), (16, 6), (16, 32)])
     def test_size_the_network_cannot_take_is_config_error(self, tmp_path, capsys, size, tile):
         text = SMALL_TRAIN.replace("data.size=16", f"data.size={size}\ndata.tile={tile}")

@@ -1,5 +1,7 @@
 """Convolution, pooling, and upconvolution against direct-loop oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +162,22 @@ class TestConv2d:
         assert grad_check(wrt_x, Tensor(x, dtype=np.float64)) < 1e-4
         assert grad_check(wrt_w, p.weight) < 1e-4
         assert grad_check(wrt_b, p.bias) < 1e-4
+
+    def test_pointwise_conv_over_channel_major_map_copies_no_cols(self):
+        # a conv output is channel-major, so its (ic, n, h, w) view already is
+        # the 1x1 cols matrix; only the 2-channel output may be allocated
+        rng = make_rng(7)
+        x = conv2d(Tensor(rng.standard_normal((4, 1, 16, 16)).astype(np.float32)),
+                   he_conv(1, 32, 1, rng))
+        p = he_conv(32, 2, 1, rng)
+        tracemalloc.start()
+        try:
+            with Tape():
+                conv2d(x, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.data.nbytes // 4
 
     def test_strided_gradient(self):
         rng = make_rng(6)

@@ -176,6 +176,15 @@ class TestSoftmax:
         with pytest.raises(NumericalError):
             masked_softmax(Tensor(x), None)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["padded", None])
+    @pytest.mark.parametrize("at", [(0, 0, 2, 3), (1, 1, 5, 13)])  # the second is a masked key when padded
+    def test_non_finite_logits_raise_on_both_paths(self, bad, kind, at):
+        x = np.zeros((2, 3, 16, 16), dtype=np.float32)
+        x[at] = bad
+        with pytest.raises(NumericalError):
+            masked_softmax(Tensor(x), _window_mask(kind))
+
     def test_channel_softmax_sums_to_one(self):
         rng = make_rng(3)
         p = softmax(Tensor(rng.standard_normal((2, 5, 3, 3))))
@@ -370,10 +379,10 @@ class TestWindows:
     def test_window_contents_row_major(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
         w = window_split(Tensor(x), 2)
-        assert w.shape == (4, 1, 2, 2)
-        np.testing.assert_array_equal(w.data[0, 0], [[0, 1], [4, 5]])
-        np.testing.assert_array_equal(w.data[1, 0], [[2, 3], [6, 7]])
-        np.testing.assert_array_equal(w.data[2, 0], [[8, 9], [12, 13]])
+        assert w.shape == (4, 2, 2, 1)
+        np.testing.assert_array_equal(w.data[0, :, :, 0], [[0, 1], [4, 5]])
+        np.testing.assert_array_equal(w.data[1, :, :, 0], [[2, 3], [6, 7]])
+        np.testing.assert_array_equal(w.data[2, :, :, 0], [[8, 9], [12, 13]])
 
     def test_indivisible_shape_rejected(self):
         with pytest.raises(ShapeError):

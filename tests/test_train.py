@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lfam.train
+from lfam.attention import LfamConfig, ResidualSource
 from lfam.data import LabeledImage, gen_synthetic
 from lfam.errors import ConfigError, ContractError, LabelError, NumericalError
-from lfam.tensor import Tensor, grad_check
+from lfam.tensor import Tape, Tensor, grad_check
 from lfam.train import (
     AdamState,
     EpochRecord,
@@ -34,7 +35,7 @@ from lfam.train import (
     train_loop,
     weighted_ce,
 )
-from lfam.unet import UNetConfig, build_unet, forward, load_checkpoint
+from lfam.unet import SkipSpec, UNetConfig, build_unet, forward, load_checkpoint
 
 
 def softmax_np(z):
@@ -202,6 +203,18 @@ class TestLossGradients:
         x = Tensor(rng.normal(size=(1, 3, 4, 4)), requires_grad=True)
         err = grad_check(lambda t: weighted_ce(t, target, (0.5, 1.0, 2.5)), x)
         assert err < 1e-4
+
+
+def test_desk_step_records_at_most_eighty_nodes():
+    # the 32x32, base 8, depth 2, m=4 training step with lfam skips at both levels
+    lf = LfamConfig(local_range=4, residual_source=ResidualSource.ENCODER)
+    model = build_unet(UNetConfig(in_channels=1, num_classes=4, base_channels=8, depth=2,
+                                  skips=(SkipSpec(kind="lfam", lfam=lf),) * 2), seed=0)
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.random((1, 1, 32, 32)).astype(np.float32))
+    with Tape() as tape:
+        focal_iou_loss(forward(model, x), rng.integers(0, 4, size=(1, 32, 32)), FocalIouLoss())
+    assert len(tape.nodes) <= 80
 
 
 class TestSchedule:
