@@ -13,6 +13,7 @@ import json
 from pathlib import Path
 
 from lfam.ablation import AblationConfig, render_text, run_ablation, to_record
+from lfam.data import replace_atomically
 
 
 def main() -> int:
@@ -36,9 +37,9 @@ def main() -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "ablation.json").write_text(
-        json.dumps(to_record(report), indent=2) + "\n")
-    (out_dir / "ablation.txt").write_text(text + "\n")
+    record = json.dumps(to_record(report), indent=2) + "\n"
+    replace_atomically(out_dir / "ablation.json", lambda p: p.write_text(record))
+    replace_atomically(out_dir / "ablation.txt", lambda p: p.write_text(text + "\n"))
     print(f"wrote {out_dir / 'ablation.json'} and {out_dir / 'ablation.txt'}")
     return 0
 

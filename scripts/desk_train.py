@@ -22,6 +22,7 @@ from lfam import (
     gen_synthetic,
     train_loop,
 )
+from lfam.data import replace_atomically
 
 
 def main() -> int:
@@ -82,7 +83,8 @@ def main() -> int:
         "test_per_class_iou": [float(v) for v in per_class],
         "elapsed_seconds": elapsed,
     }
-    (out_dir / "desk_result.json").write_text(json.dumps(record, indent=2) + "\n")
+    text = json.dumps(record, indent=2) + "\n"
+    replace_atomically(out_dir / "desk_result.json", lambda p: p.write_text(text))
     print(f"wrote {out_dir / 'desk_result.json'}")
     return 0
 

@@ -115,7 +115,7 @@ class LfamParams:
 
     def __post_init__(self):
         for name, p in (("query", self.query), ("key", self.key), ("value", self.value)):
-            if p.kernel != 1 or p.stride != 1 or p.padding != 0:
+            if p.kernel != 1:
                 raise ConfigError(f"{name} projection must be a plain 1x1 conv")
         if len({p.in_channels for p in (self.query, self.key, self.value)}) != 1:
             raise ConfigError("projections disagree on input channels")

@@ -22,10 +22,10 @@ from pathlib import Path
 from . import __version__
 from .attention import LfamConfig, ResidualSource
 from .costmodel import cost_report, network_cost_report, reference_levels, render_cost_table, report_record
-from .data import compute_class_weights, crop_tiles, gen_synthetic, load_dataset, save_dataset
+from .data import compute_class_weights, crop_tiles, gen_synthetic, load_dataset, replace_atomically, save_dataset
 from .errors import CheckpointError, ConfigError, LfamError, NumericalError
 from .rng import make_rng
-from .train import FocalIouLoss, TrainConfig, WeightedCeLoss, evaluate, replace_atomically, train_loop
+from .train import FocalIouLoss, TrainConfig, WeightedCeLoss, evaluate, train_loop
 from .unet import SkipSpec, UNetConfig, build_unet, load_checkpoint
 from .verify import gradient_suite, render_suite
 

@@ -10,8 +10,10 @@ generating its predecessors.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -206,7 +208,21 @@ def compute_class_weights(masks, num_classes: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# PGM persistence (binary P5, 8-bit)
+# Atomic file writes and PGM persistence (binary P5, 8-bit)
+
+
+def replace_atomically(path: Path, write: Callable[[Path], None]) -> None:
+    """Run write on a temporary file beside path, then rename it over path.
+
+    Readers see the old file or the new one, never a partial write; if
+    write fails, path is left as it was and the temporary file is removed.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_pgm(path, arr: np.ndarray) -> None:
@@ -216,9 +232,8 @@ def write_pgm(path, arr: np.ndarray) -> None:
     if arr.dtype != np.uint8:
         raise ContractError(f"PGM payload must be uint8, got {arr.dtype}")
     h, w = arr.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(arr.tobytes())
+    data = f"P5\n{w} {h}\n255\n".encode("ascii") + arr.tobytes()
+    replace_atomically(Path(path), lambda p: p.write_bytes(data))
 
 
 def read_pgm(path) -> np.ndarray:

@@ -1,20 +1,23 @@
 """Convolution, pooling, and upconvolution layers over the tape.
 
-Every contraction, forward and backward, is one 2-D matrix product on
-contiguous operands (im2col/col2im lowering, Chellapilla et al. 2006).
-conv2d builds a channel-major im2col matrix cols of shape
-(kh*kw*ic, n*oh*ow) with one np.ascontiguousarray over a strided
-sliding-window view of the (ic, n, h, w) padded input, and computes
-wmat @ cols with wmat of shape (oc, kh*kw*ic).  Its output keeps that
-channel-major memory order, so the next conv's (ic, n, h, w) view is
-already contiguous; for a 1x1 stride-1 conv that view is cols itself and
-nothing is copied.  Backward forms the weight gradient and the column
-gradients with one product each and scatters the columns back with one
-loop per kernel tap.  upconv2x2 is one (n*h*w, ic) @ (ic, oc*4) product,
-and each of its two gradients is one more; it is the exact adjoint of a
-stride-2 kernel-2 convolution with the in/out axes of the weight swapped.
-maxpool2x2 breaks ties toward the first position in row-major block order
-so forward and backward agree bit-for-bit.
+Each op has one geometry, set by the op and its kernel: conv2d is a
+stride-1 "same" conv with k 1 or 3 (zero padding k // 2); maxpool2x2 and
+upconv2x2 act on 2x2 blocks with stride 2.  Every contraction, forward
+and backward, is one 2-D matrix product on contiguous operands
+(im2col/col2im lowering, Chellapilla et al. 2006).
+conv2d builds a channel-major im2col matrix cols of shape (k*k*ic, n*h*w)
+with one np.ascontiguousarray over a sliding-window view of the
+(ic, n, h, w) padded input, and computes wmat @ cols with wmat of shape
+(oc, k*k*ic).  Its output keeps that channel-major memory order, so the
+next conv's (ic, n, h, w) view is already contiguous; for a 1x1 conv that
+view is cols itself and nothing is copied.  Backward forms the weight
+gradient and the column gradients with one product each and scatters the
+columns back with one loop per kernel tap.  upconv2x2 is one
+(n*h*w, ic) @ (ic, oc*4) product, and each of its two gradients is one
+more; it is the exact adjoint of a stride-2 kernel-2 convolution with the
+in/out axes of the weight swapped.  maxpool2x2 takes the maximum of the
+four strided corner views and breaks ties toward the first corner in
+row-major block order, so forward and backward agree bit-for-bit.
 """
 
 from __future__ import annotations
@@ -43,8 +46,6 @@ class ConvParams:
 
     weight: Tensor
     bias: Tensor
-    stride: int = 1
-    padding: int = 0
 
     def __post_init__(self):
         oc, ic, kh, kw = self.weight.shape
@@ -52,8 +53,6 @@ class ConvParams:
             raise ContractError(f"conv kernel must be square with k in (1, 2, 3), got {self.weight.shape}")
         if self.bias.shape != (1, oc, 1, 1):
             raise ShapeError(f"bias shape {self.bias.shape} does not match out_ch {oc}")
-        if self.stride < 1 or self.padding < 0:
-            raise ContractError(f"invalid stride/padding ({self.stride}, {self.padding})")
 
     @property
     def out_channels(self) -> int:
@@ -71,78 +70,72 @@ class ConvParams:
         return (self.weight, self.bias)
 
 
-def he_conv(in_ch: int, out_ch: int, k: int, rng: np.random.Generator,
-            stride: int = 1, padding: int = 0, dtype=np.float32) -> ConvParams:
+def he_conv(in_ch: int, out_ch: int, k: int, rng: np.random.Generator, dtype=np.float32) -> ConvParams:
     """He-normal weight init, std sqrt(2 / fan_in) with fan_in = in_ch * k * k."""
     std = np.sqrt(2.0 / (in_ch * k * k))
     w = (rng.standard_normal((out_ch, in_ch, k, k)) * std).astype(dtype)
     b = np.zeros((1, out_ch, 1, 1), dtype=dtype)
-    return ConvParams(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True),
-                      stride=stride, padding=padding)
+    return ConvParams(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
 
 
 def conv2d(x: Tensor, p: ConvParams) -> Tensor:
-    """2-D convolution (cross-correlation) with symmetric zero padding."""
-    oc, ic, kh, kw = p.weight.shape
+    """Stride-1 "same" cross-correlation: zero padding k // 2 keeps h and w."""
+    oc, ic, k, _ = p.weight.shape
+    if k % 2 == 0:
+        raise ContractError(f"conv2d needs an odd kernel, got {k}x{k}")
     n, c, h, w = x.shape
     if c != ic:
         raise ShapeError(f"conv2d: input has {c} channels, weight expects {ic}")
-    s, pad = p.stride, p.padding
-    hp, wp = h + 2 * pad, w + 2 * pad
-    if hp < kh or wp < kw or (hp - kh) % s or (wp - kw) % s:
-        raise ShapeError(f"conv2d: input {x.shape} with k={kh} s={s} pad={pad} "
-                         "gives a non-integer output size")
-    oh, ow = (hp - kh) // s + 1, (wp - kw) // s + 1
+    pad = k // 2
 
     xp = x.data.transpose(1, 0, 2, 3)  # (ic, n, h, w) view
     if pad:
         xp = np.pad(xp, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    # (ic, n, oh, ow, kh, kw) window view, copied tap-major
-    taps = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
-    cols = np.ascontiguousarray(taps.transpose(4, 5, 0, 1, 2, 3)).reshape(kh * kw * ic, n * oh * ow)
-    wmat = p.weight.data.transpose(0, 2, 3, 1).reshape(oc, kh * kw * ic)
-    out = (wmat @ cols).reshape(oc, n, oh, ow).transpose(1, 0, 2, 3) + p.bias.data
+    # (ic, n, h, w, k, k) window view, copied tap-major
+    taps = sliding_window_view(xp, (k, k), axis=(2, 3))
+    cols = np.ascontiguousarray(taps.transpose(4, 5, 0, 1, 2, 3)).reshape(k * k * ic, n * h * w)
+    wmat = p.weight.data.transpose(0, 2, 3, 1).reshape(oc, k * k * ic)
+    out = (wmat @ cols).reshape(oc, n, h, w).transpose(1, 0, 2, 3) + p.bias.data
+    need_gx = x.requires_grad  # else the vjp returns None for gx
 
     def vjp(g):
-        gmat = g.transpose(1, 0, 2, 3).reshape(oc, n * oh * ow)
+        gmat = g.transpose(1, 0, 2, 3).reshape(oc, n * h * w)
         gb = g.sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1)
-        gw = (gmat @ cols.T).reshape(oc, kh, kw, ic).transpose(0, 3, 1, 2)
-        gcols = (wmat.T @ gmat).reshape(kh, kw, ic, n, oh, ow)
-        gxp = np.zeros((ic, n, hp, wp), dtype=g.dtype)
-        for di in range(kh):
-            for dj in range(kw):
-                gxp[:, :, di:di + oh * s:s, dj:dj + ow * s:s] += gcols[di, dj]
+        gw = (gmat @ cols.T).reshape(oc, k, k, ic).transpose(0, 3, 1, 2)
+        if not need_gx:
+            return (None, gw, gb)
+        gcols = (wmat.T @ gmat).reshape(k, k, ic, n, h, w)
+        gxp = np.zeros((ic, n, h + 2 * pad, w + 2 * pad), dtype=g.dtype)
+        for di in range(k):
+            for dj in range(k):
+                gxp[:, :, di:di + h, dj:dj + w] += gcols[di, dj]
         gx = gxp[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3)
         return (gx, gw, gb)
 
     return _apply("conv2d", (x, p.weight, p.bias), out, vjp)
 
 
-def maxpool2x2(x: Tensor) -> tuple[Tensor, np.ndarray]:
+def maxpool2x2(x: Tensor) -> Tensor:
     """2x2 max pooling, stride 2.
 
-    Returns the pooled tensor and an index array (n, c, h/2, w/2) whose
-    values 0..3 name the argmax position inside each block in row-major
-    order; ties go to the first position.
+    Each block's gradient goes to its first maximum in row-major order.
     """
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2: spatial dims must be even, got {x.shape}")
-    blocks = (x.data.reshape(n, c, h // 2, 2, w // 2, 2)
-              .transpose(0, 1, 2, 4, 3, 5)
-              .reshape(n, c, h // 2, w // 2, 4))
-    idx = blocks.argmax(axis=-1)
-    out = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
+    corners = [x.data[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]  # row-major
+    out = np.maximum(np.maximum(corners[0], corners[1]), np.maximum(corners[2], corners[3]))
 
     def vjp(g):
-        gb = np.zeros_like(blocks)
-        np.put_along_axis(gb, idx[..., None], g[..., None], axis=-1)
-        gx = (gb.reshape(n, c, h // 2, w // 2, 2, 2)
-              .transpose(0, 1, 2, 4, 3, 5)
-              .reshape(n, c, h, w))
+        gx = np.zeros(x.shape, x.dtype)
+        free = np.ones(out.shape, dtype=bool)  # blocks not yet routed
+        for (i, j), tap in zip(((0, 0), (0, 1), (1, 0), (1, 1)), corners):
+            hit = free & (tap == out)
+            np.copyto(gx[:, :, i::2, j::2], g, where=hit)
+            free &= ~hit
         return (gx,)
 
-    return _apply("maxpool2x2", (x,), out, vjp), idx
+    return _apply("maxpool2x2", (x,), out, vjp)
 
 
 def upconv2x2(x: Tensor, p: ConvParams) -> Tensor:
@@ -152,9 +145,9 @@ def upconv2x2(x: Tensor, p: ConvParams) -> Tensor:
     kernel-2 convolution whose weight has in/out axes swapped; blocks do
     not overlap, so each output pixel has exactly one source.
     """
-    oc, ic, kh, kw = p.weight.shape
-    if kh != 2 or kw != 2 or p.stride != 2 or p.padding != 0:
-        raise ContractError("upconv2x2 needs k=2, stride=2, padding=0 params")
+    oc, ic, k, _ = p.weight.shape
+    if k != 2:
+        raise ContractError(f"upconv2x2 needs a 2x2 kernel, got {k}x{k}")
     n, c, h, w = x.shape
     if c != ic:
         raise ShapeError(f"upconv2x2: input has {c} channels, weight expects {ic}")

@@ -13,13 +13,12 @@ with repr, so two runs with one seed produce byte-identical logs.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
+from .data import replace_atomically
 from .errors import ConfigError, ContractError, LabelError, NumericalError, ShapeError
 from .rng import make_rng
 from .tensor import (
@@ -418,20 +417,6 @@ def train_loop(model: ModelState, data, cfg: TrainConfig, out_dir=None) -> RunLo
     if out_dir is not None:
         _write_run_outputs(out_dir, model, run)
     return run
-
-
-def replace_atomically(path: Path, write: Callable[[Path], None]) -> None:
-    """Run write on a temporary file beside path, then rename it over path.
-
-    Readers see the old file or the new one, never a partial write; if
-    write fails, path is left as it was and the temporary file is removed.
-    """
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _write_run_outputs(out_dir, model: ModelState, run: RunLog) -> None:

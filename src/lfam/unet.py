@@ -144,10 +144,10 @@ def build_unet(cfg: UNetConfig, seed: int, dtype=np.float32) -> ModelState:
         return make_rng(seed, stream=stream[0])
 
     def conv_block(prefix: str, c_in: int, c_out: int):
-        layers[f"{prefix}.conv1"] = he_conv(c_in, c_out, 3, rng(), padding=1, dtype=dtype)
+        layers[f"{prefix}.conv1"] = he_conv(c_in, c_out, 3, rng(), dtype=dtype)
         if cfg.channel_norm:
             layers[f"{prefix}.norm1"] = init_norm(c_out, dtype=dtype)
-        layers[f"{prefix}.conv2"] = he_conv(c_out, c_out, 3, rng(), padding=1, dtype=dtype)
+        layers[f"{prefix}.conv2"] = he_conv(c_out, c_out, 3, rng(), dtype=dtype)
         if cfg.channel_norm:
             layers[f"{prefix}.norm2"] = init_norm(c_out, dtype=dtype)
 
@@ -159,7 +159,7 @@ def build_unet(cfg: UNetConfig, seed: int, dtype=np.float32) -> ModelState:
     for i in reversed(range(cfg.depth)):
         width = cfg.level_width(i)
         above = cfg.bottleneck_width if i == cfg.depth - 1 else cfg.level_width(i + 1)
-        layers[f"dec{i}.up"] = he_conv(above, width, 2, rng(), stride=2, dtype=dtype)
+        layers[f"dec{i}.up"] = he_conv(above, width, 2, rng(), dtype=dtype)
         if cfg.skips[i].kind == "lfam":
             layers[f"dec{i}.fuse"] = init_lfam_params(width, rng(),
                                                       proj_channels=cfg.skips[i].lfam.proj_channels,
@@ -213,7 +213,7 @@ def forward(model: ModelState, x: Tensor, lfam_fn=None) -> Tensor:
     for i in range(cfg.depth):
         t = conv_block(t, f"enc{i}")
         skips.append(t)
-        t, _ = maxpool2x2(t)
+        t = maxpool2x2(t)
     t = conv_block(t, "bottleneck")
 
     for i in reversed(range(cfg.depth)):

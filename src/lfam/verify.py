@@ -49,7 +49,7 @@ def _check_masked_softmax(seed: int) -> float:
 
 def _check_conv2d(seed: int) -> float:
     rng = make_rng(seed, stream=2)
-    p = he_conv(2, 3, 3, rng, padding=1, dtype=np.float64)
+    p = he_conv(2, 3, 3, rng, dtype=np.float64)
     x = Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True)
     w = rng.normal(size=(1, 3, 5, 5))
     errs = [grad_check(lambda t: _weighted_sum(conv2d(t, p), w), x)]
@@ -58,10 +58,10 @@ def _check_conv2d(seed: int) -> float:
     weight = Tensor(p.weight.data.copy(), requires_grad=True)
 
     def by_weight(wt):
-        return _weighted_sum(conv2d(x_const, ConvParams(weight=wt, bias=bias, padding=1)), w)
+        return _weighted_sum(conv2d(x_const, ConvParams(weight=wt, bias=bias)), w)
 
     def by_bias(b):
-        return _weighted_sum(conv2d(x_const, ConvParams(weight=weight, bias=b, padding=1)), w)
+        return _weighted_sum(conv2d(x_const, ConvParams(weight=weight, bias=b)), w)
 
     errs.append(grad_check(by_weight, weight))
     errs.append(grad_check(by_bias, Tensor(bias.data.copy(), requires_grad=True)))
@@ -70,7 +70,7 @@ def _check_conv2d(seed: int) -> float:
 
 def _check_upconv(seed: int) -> float:
     rng = make_rng(seed, stream=3)
-    up = he_conv(3, 2, 2, rng, stride=2, dtype=np.float64)
+    up = he_conv(3, 2, 2, rng, dtype=np.float64)
     x = Tensor(rng.normal(size=(1, 3, 4, 4)), requires_grad=True)
     w = rng.normal(size=(1, 2, 8, 8))
     errs = [grad_check(lambda t: _weighted_sum(upconv2x2(t, up), w), x)]
@@ -78,7 +78,7 @@ def _check_upconv(seed: int) -> float:
 
     def by_weight(wt):
         return _weighted_sum(
-            upconv2x2(x_const, ConvParams(weight=wt, bias=up.bias, stride=2)), w)
+            upconv2x2(x_const, ConvParams(weight=wt, bias=up.bias)), w)
 
     errs.append(grad_check(by_weight, Tensor(up.weight.data.copy(), requires_grad=True)))
     return max(errs)

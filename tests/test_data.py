@@ -270,6 +270,23 @@ class TestPgmRoundTrip:
         with pytest.raises(ContractError):
             write_pgm(tmp_path / "x.pgm", np.zeros((2, 2), dtype=np.int64))
 
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.pgm"
+        before = np.arange(12, dtype=np.uint8).reshape(3, 4)
+        write_pgm(path, before)
+        write_bytes = Path.write_bytes
+
+        def write_half_then_fail(target, data):
+            write_bytes(target, data[:len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+        with pytest.raises(OSError):
+            write_pgm(path, np.full((5, 6), 7, dtype=np.uint8))
+        monkeypatch.undo()
+        np.testing.assert_array_equal(read_pgm(path), before)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.pgm"]
+
 
 class TestDatasetRoundTrip:
     def test_masks_survive_exactly_images_within_quantization(self, tmp_path):

@@ -20,7 +20,7 @@ from lfam.ops import (
 from lfam.rng import make_rng
 from lfam.tensor import Tape, Tensor, backward, grad_check, mul, pow_const, sum_all
 
-CONV_SPECS = [(1, 1, 0, 6), (3, 1, 1, 6), (3, 2, 1, 7), (2, 2, 0, 6)]  # (k, stride, pad, size)
+CONV_SPECS = [(1, 6), (3, 6), (3, 7)]  # (k, size); conv2d pads k // 2
 
 
 def conv_oracle(x, w, b, stride=1, pad=0):
@@ -79,12 +79,37 @@ def input_grads(op, x, p, g):
     return y.data, xt.grad, p.weight.grad, p.bias.grad
 
 
-def make_params(rng, ic, oc, k, stride=1, pad=0, dtype=np.float64):
+def make_params(rng, ic, oc, k, dtype=np.float64):
     w = rng.standard_normal((oc, ic, k, k)).astype(dtype)
     b = rng.standard_normal(oc).astype(dtype)
     return ConvParams(Tensor(w, requires_grad=True),
-                      Tensor(b.reshape(1, oc, 1, 1), requires_grad=True),
-                      stride=stride, padding=pad)
+                      Tensor(b.reshape(1, oc, 1, 1), requires_grad=True))
+
+
+def maxpool_argmax_oracle(x, g):
+    """maxpool2x2 forward and vjp by argmax over row-major 4-element blocks."""
+    n, c, h, w = x.shape
+    blocks = (x.reshape(n, c, h // 2, 2, w // 2, 2)
+              .transpose(0, 1, 2, 4, 3, 5)
+              .reshape(n, c, h // 2, w // 2, 4))
+    idx = blocks.argmax(axis=-1)[..., None]
+    out = np.take_along_axis(blocks, idx, axis=-1)[..., 0]
+    gb = np.zeros_like(blocks)
+    np.put_along_axis(gb, idx, g[..., None], axis=-1)
+    gx = (gb.reshape(n, c, h // 2, w // 2, 2, 2)
+          .transpose(0, 1, 2, 4, 3, 5)
+          .reshape(n, c, h, w))
+    return out, gx
+
+
+def pool_grad(x, g=None):
+    """Forward and input gradient of maxpool2x2 under upstream gradient g (ones by default)."""
+    t = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        y = maxpool2x2(t)
+        loss = sum_all(y if g is None else mul(y, Tensor(g)))
+    backward(tape, loss)
+    return y.data, t.grad
 
 
 class TestConv2d:
@@ -92,8 +117,7 @@ class TestConv2d:
         v = 0.7
         x = Tensor(np.full((1, 1, 5, 5), v, dtype=np.float64))
         p = ConvParams(Tensor(np.ones((1, 1, 3, 3), dtype=np.float64), requires_grad=True),
-                       Tensor(np.zeros((1, 1, 1, 1), dtype=np.float64), requires_grad=True),
-                       padding=1)
+                       Tensor(np.zeros((1, 1, 1, 1), dtype=np.float64), requires_grad=True))
         y = conv2d(x, p)
         assert y.shape == (1, 1, 5, 5)
         np.testing.assert_allclose(y.data[0, 0, 1:-1, 1:-1], 9 * v, rtol=1e-12)
@@ -105,58 +129,65 @@ class TestConv2d:
     @given(st.integers(0, 2**32 - 1), st.sampled_from(CONV_SPECS))
     @settings(max_examples=20, deadline=None)
     def test_matches_direct_loop(self, seed, spec):
-        k, stride, pad, size = spec
+        k, size = spec
         rng = make_rng(seed)
         x = rng.standard_normal((2, 3, size, size))
-        p = make_params(rng, 3, 2, k, stride, pad)
+        p = make_params(rng, 3, 2, k)
         got = conv2d(Tensor(x, dtype=np.float64), p).data
-        want = conv_oracle(x, p.weight.data, p.bias.data.ravel(), stride, pad)
+        want = conv_oracle(x, p.weight.data, p.bias.data.ravel(), pad=k // 2)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("spec", CONV_SPECS)
     def test_vjp_matches_direct_loop_adjoint(self, spec):
-        k, stride, pad, size = spec
-        rng = make_rng(10 + k + stride)
+        k, size = spec
+        rng = make_rng(11 + k)
         x = rng.standard_normal((2, 3, size, size))
-        p = make_params(rng, 3, 2, k, stride, pad)
-        out = conv_oracle(x, p.weight.data, p.bias.data.ravel(), stride, pad)
+        p = make_params(rng, 3, 2, k)
+        out = conv_oracle(x, p.weight.data, p.bias.data.ravel(), pad=k // 2)
         g = rng.standard_normal(out.shape)
         _, gx, gw, gb = input_grads(conv2d, x, p, g)
-        for got, want in zip((gx, gw, gb), conv_vjp_oracle(x, p.weight.data, g, stride, pad)):
+        for got, want in zip((gx, gw, gb), conv_vjp_oracle(x, p.weight.data, g, pad=k // 2)):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
-
-    def test_padding_matches_manual_pad(self):
-        rng = make_rng(4)
-        x = rng.standard_normal((1, 2, 5, 5))
-        p = make_params(rng, 2, 3, 3, pad=1)
-        inner = ConvParams(p.weight, p.bias, stride=1, padding=0)
-        manual = conv2d(Tensor(np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1))), dtype=np.float64), inner)
-        np.testing.assert_allclose(conv2d(Tensor(x, dtype=np.float64), p).data, manual.data, rtol=1e-12)
 
     def test_channel_mismatch_rejected(self):
         p = make_params(make_rng(0), 3, 2, 3)
         with pytest.raises(ShapeError):
             conv2d(Tensor(np.zeros((1, 2, 5, 5))), p)
 
-    def test_non_integer_output_rejected(self):
-        p = make_params(make_rng(0), 1, 1, 2, stride=2)
-        with pytest.raises(ShapeError):
-            conv2d(Tensor(np.zeros((1, 1, 5, 5))), p)
+    def test_even_kernel_rejected(self):
+        p = make_params(make_rng(0), 3, 2, 2)
+        with pytest.raises(ContractError):
+            conv2d(Tensor(np.zeros((1, 3, 4, 4))), p)
+
+    def test_input_without_grad_skips_its_gradient(self):
+        rng = make_rng(9)
+        x = rng.standard_normal((2, 3, 5, 5)).astype(np.float32)
+        p = make_params(rng, 3, 4, 3, dtype=np.float32)
+        g = rng.standard_normal((2, 4, 5, 5)).astype(np.float32)
+        grads = []
+        for needs_grad in (False, True):
+            with Tape() as tape:
+                conv2d(Tensor(x, requires_grad=needs_grad), p)
+            (node,) = tape.nodes
+            grads.append(node.vjp(g))
+        (gx, gw, gb), (gx_full, gw_full, gb_full) = grads
+        assert gx is None and gx_full is not None
+        assert gw.tobytes() == gw_full.tobytes() and gb.tobytes() == gb_full.tobytes()
 
     def test_gradients_all_inputs(self):
         rng = make_rng(2)
         x = rng.standard_normal((2, 2, 5, 5))
-        p = make_params(rng, 2, 3, 3, pad=1)
+        p = make_params(rng, 2, 3, 3)
 
         def wrt_x(t):
             return sum_all(pow_const(conv2d(t, p), 2.0))
 
         def wrt_w(t):
-            q = ConvParams(t, p.bias, p.stride, p.padding)
+            q = ConvParams(t, p.bias)
             return sum_all(pow_const(conv2d(Tensor(x, dtype=np.float64), q), 2.0))
 
         def wrt_b(t):
-            q = ConvParams(p.weight, t, p.stride, p.padding)
+            q = ConvParams(p.weight, t)
             return sum_all(pow_const(conv2d(Tensor(x, dtype=np.float64), q), 2.0))
 
         assert grad_check(wrt_x, Tensor(x, dtype=np.float64)) < 1e-4
@@ -179,13 +210,6 @@ class TestConv2d:
             tracemalloc.stop()
         assert peak < x.data.nbytes // 4
 
-    def test_strided_gradient(self):
-        rng = make_rng(6)
-        p = make_params(rng, 2, 2, 2, stride=2)
-        x = rng.standard_normal((1, 2, 6, 6))
-        assert grad_check(lambda t: sum_all(pow_const(conv2d(t, p), 2.0)),
-                          Tensor(x, dtype=np.float64)) < 1e-4
-
 
 class TestMaxpool:
     def test_known_blocks(self):
@@ -193,11 +217,29 @@ class TestMaxpool:
                       [3.0, 4.0, 5.0, 5.0],
                       [9.0, 8.0, 0.0, 3.0],
                       [7.0, 6.0, -2.0, 1.0]]).reshape(1, 1, 4, 4)
-        y, idx = maxpool2x2(Tensor(x))
-        np.testing.assert_array_equal(y.data[0, 0], [[4.0, 5.0], [9.0, 3.0]])
+        y, gx = pool_grad(x)
+        np.testing.assert_array_equal(y[0, 0], [[4.0, 5.0], [9.0, 3.0]])
         # the all-fives block ties; first row-major position wins
-        assert idx[0, 0, 0, 1] == 0
-        assert idx[0, 0, 1, 1] == 1
+        np.testing.assert_array_equal(gx[0, 0], [[0.0, 0.0, 1.0, 0.0],
+                                                 [0.0, 1.0, 0.0, 0.0],
+                                                 [1.0, 0.0, 0.0, 1.0],
+                                                 [0.0, 0.0, 0.0, 0.0]])
+
+    def test_tie_after_corner_zero_routes_to_first_maximum(self):
+        _, gx = pool_grad(np.array([[1.0, 5.0], [5.0, 5.0]]).reshape(1, 1, 2, 2))
+        np.testing.assert_array_equal(gx[0, 0], [[0.0, 1.0], [0.0, 0.0]])
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_argmax_oracle_under_ties(self, seed, dtype):
+        # values in 0..3 tie in most blocks
+        rng = make_rng(seed)
+        x = rng.integers(0, 4, size=(2, 3, 6, 8)).astype(dtype)
+        g = rng.standard_normal((2, 3, 3, 4)).astype(dtype)
+        y, gx = pool_grad(x, g)
+        want_y, want_gx = maxpool_argmax_oracle(x, g)
+        assert y.dtype == gx.dtype == dtype
+        assert y.tobytes() == want_y.tobytes() and gx.tobytes() == want_gx.tobytes()
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ShapeError):
@@ -205,42 +247,33 @@ class TestMaxpool:
 
     def test_gradient_routes_to_argmax_only(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-        t = Tensor(x, requires_grad=True)
-        with Tape() as tape:
-            y, _ = maxpool2x2(t)
-            loss = sum_all(y)
-        backward(tape, loss)
-        np.testing.assert_array_equal(t.grad[0, 0], [[0.0, 0.0], [0.0, 1.0]])
+        _, gx = pool_grad(x)
+        np.testing.assert_array_equal(gx[0, 0], [[0.0, 0.0], [0.0, 1.0]])
 
     def test_tied_gradient_goes_to_first_position(self):
         x = np.full((1, 1, 2, 2), 2.5)
-        t = Tensor(x, requires_grad=True)
-        with Tape() as tape:
-            y, _ = maxpool2x2(t)
-            loss = sum_all(y)
-        backward(tape, loss)
-        np.testing.assert_array_equal(t.grad[0, 0], [[1.0, 0.0], [0.0, 0.0]])
+        _, gx = pool_grad(x)
+        np.testing.assert_array_equal(gx[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
     def test_gradient_numeric(self):
         rng = make_rng(8)
         # well-separated values keep the argmax stable under the probe eps
         x = rng.standard_normal((2, 3, 4, 4)) * 10
-        assert grad_check(lambda t: sum_all(pow_const(maxpool2x2(t)[0], 2.0)),
+        assert grad_check(lambda t: sum_all(pow_const(maxpool2x2(t), 2.0)),
                           Tensor(x, dtype=np.float64)) < 1e-4
 
 
 class TestUpconv:
     def test_shape_doubles(self):
         rng = make_rng(0)
-        p = make_params(rng, 3, 2, 2, stride=2)
+        p = make_params(rng, 3, 2, 2)
         y = upconv2x2(Tensor(rng.standard_normal((2, 3, 4, 5)), dtype=np.float64), p)
         assert y.shape == (2, 2, 8, 10)
 
     def test_single_pixel_paints_kernel(self):
         w = np.arange(4, dtype=np.float64).reshape(1, 1, 2, 2)
         p = ConvParams(Tensor(w, requires_grad=True),
-                       Tensor(np.zeros((1, 1, 1, 1), dtype=np.float64), requires_grad=True),
-                       stride=2)
+                       Tensor(np.zeros((1, 1, 1, 1), dtype=np.float64), requires_grad=True))
         x = np.zeros((1, 1, 2, 2))
         x[0, 0, 1, 0] = 2.0
         y = upconv2x2(Tensor(x, dtype=np.float64), p)
@@ -254,22 +287,18 @@ class TestUpconv:
         # <conv(x), u> == <x, upconv(u)> when the upconv weight swaps in/out axes
         rng = make_rng(seed)
         w = rng.standard_normal((3, 2, 2, 2))
-        down = ConvParams(Tensor(w, requires_grad=True),
-                          Tensor(np.zeros((1, 3, 1, 1), dtype=np.float64), requires_grad=True),
-                          stride=2)
         up = ConvParams(Tensor(w.transpose(1, 0, 2, 3).copy(), requires_grad=True),
-                        Tensor(np.zeros((1, 2, 1, 1), dtype=np.float64), requires_grad=True),
-                        stride=2)
+                        Tensor(np.zeros((1, 2, 1, 1), dtype=np.float64), requires_grad=True))
         x = rng.standard_normal((1, 2, 6, 6))
         u = rng.standard_normal((1, 3, 3, 3))
-        lhs = (conv2d(Tensor(x, dtype=np.float64), down).data * u).sum()
+        lhs = (conv_oracle(x, w, np.zeros(3), stride=2) * u).sum()
         rhs = (x * upconv2x2(Tensor(u, dtype=np.float64), up).data).sum()
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
     def test_vjp_matches_einsum_oracle(self):
         rng = make_rng(12)
         x = rng.standard_normal((2, 3, 4, 5))
-        p = make_params(rng, 3, 4, 2, stride=2)
+        p = make_params(rng, 3, 4, 2)
         g = rng.standard_normal((2, 4, 8, 10))
         got = input_grads(upconv2x2, x, p, g)
         out, gx, gw = upconv_einsum_oracle(x, p.weight.data, g)
@@ -285,17 +314,17 @@ class TestUpconv:
     def test_gradients_all_inputs(self):
         rng = make_rng(3)
         x = rng.standard_normal((1, 2, 3, 3))
-        p = make_params(rng, 2, 3, 2, stride=2)
+        p = make_params(rng, 2, 3, 2)
 
         def wrt_x(t):
             return sum_all(pow_const(upconv2x2(t, p), 2.0))
 
         def wrt_w(t):
-            q = ConvParams(t, p.bias, 2, 0)
+            q = ConvParams(t, p.bias)
             return sum_all(pow_const(upconv2x2(Tensor(x, dtype=np.float64), q), 2.0))
 
         def wrt_b(t):
-            q = ConvParams(p.weight, t, 2, 0)
+            q = ConvParams(p.weight, t)
             return sum_all(pow_const(upconv2x2(Tensor(x, dtype=np.float64), q), 2.0))
 
         assert grad_check(wrt_x, Tensor(x, dtype=np.float64)) < 1e-4
@@ -305,19 +334,18 @@ class TestUpconv:
     def test_pool_then_upconv_restores_shape(self):
         rng = make_rng(5)
         x = Tensor(rng.standard_normal((2, 3, 8, 8)))
-        pooled, _ = maxpool2x2(x)
-        p = he_conv(3, 3, 2, rng, stride=2)
+        pooled = maxpool2x2(x)
+        p = he_conv(3, 3, 2, rng)
         assert upconv2x2(pooled, p).shape == x.shape
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("op, k, stride, pad", [(conv2d, 3, 1, 1), (conv2d, 1, 1, 0),
-                                                (conv2d, 2, 2, 0), (upconv2x2, 2, 2, 0)])
-def test_outputs_and_gradients_keep_the_input_dtype(op, k, stride, pad, dtype):
+@pytest.mark.parametrize("op, k", [(conv2d, 3), (conv2d, 1), (upconv2x2, 2)])
+def test_outputs_and_gradients_keep_the_input_dtype(op, k, dtype):
     # read the vjp directly: accumulating into .grad would cast an upcast back
     rng = make_rng(13)
     x = Tensor(rng.standard_normal((2, 3, 4, 4)).astype(dtype), requires_grad=True)
-    p = make_params(rng, 3, 2, k, stride, pad, dtype=dtype)
+    p = make_params(rng, 3, 2, k, dtype=dtype)
     with Tape() as tape:
         out = op(x, p)
     (node,) = tape.nodes
