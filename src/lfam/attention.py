@@ -29,7 +29,6 @@ from .tensor import (
     bmm,
     crop_top_left,
     masked_softmax,
-    mul_const,
     pad_bottom_right,
     permute,
     reshape,
@@ -200,7 +199,7 @@ def lfam_attention(encoder: Tensor, decoder: Tensor, params: LfamParams,
     qm, km, vm = rows_of(q), rows_of(k), rows_of(v)
     logits = bmm(qm, permute(km, (0, 1, 3, 2)))
     if cfg.scale_logits:
-        logits = mul_const(logits, 1.0 / np.sqrt(d))
+        logits = logits * (1.0 / np.sqrt(d))
     # unpadded windows have only real keys; otherwise the (nw, 1, 1, mm) key
     # mask, viewed as (1, nw, 1, mm), broadcasts over batch and query rows
     mask = grid.key_mask.reshape(1, nw, 1, mm) if pad_h or pad_w else None

@@ -12,7 +12,9 @@ Exit codes: 0 success, 1 internal error, 2 usage, 3 config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,7 +25,7 @@ from . import __version__
 from .attention import LfamConfig, ResidualSource
 from .costmodel import cost_report, network_cost_report, reference_levels, render_cost_table, report_record
 from .data import compute_class_weights, crop_tiles, gen_synthetic, load_dataset, replace_atomically, save_dataset
-from .errors import CheckpointError, ConfigError, LfamError, NumericalError
+from .errors import ConfigError, LfamError, NumericalError
 from .rng import make_rng
 from .train import FocalIouLoss, TrainConfig, WeightedCeLoss, evaluate, train_loop
 from .unet import SkipSpec, UNetConfig, build_unet, load_checkpoint
@@ -54,7 +56,6 @@ class RunConfig:
     val_frac: float = 0.25
     tile: int = 0
 
-    in_channels: int = 1
     base_channels: int = 8
     depth: int = 2
     channel_norm: bool = False
@@ -103,7 +104,7 @@ class RunConfig:
             spec = SkipSpec(kind="lfam", lfam=self.lfam_config())
         else:
             spec = SkipSpec(kind=self.skip)
-        return UNetConfig(in_channels=self.in_channels, num_classes=self.num_classes,
+        return UNetConfig(num_classes=self.num_classes,
                           base_channels=self.base_channels, depth=self.depth,
                           skips=(spec,) * self.depth, channel_norm=self.channel_norm)
 
@@ -113,11 +114,7 @@ class RunConfig:
                                 focal_weight=self.focal_weight,
                                 iou_weight=self.iou_weight, per_image=self.per_image)
         if self.class_weights:
-            try:
-                weights = tuple(float(v) for v in self.class_weights.split(","))
-            except ValueError as exc:
-                raise ConfigError(f"loss.class_weights must be comma-separated floats, "
-                                  f"got {self.class_weights!r}") from exc
+            weights = tuple(float(v) for v in self.class_weights.split(","))
         elif fallback_weights is not None:
             weights = tuple(float(v) for v in fallback_weights)
         else:
@@ -143,6 +140,13 @@ class KeySpec:
     allowed: tuple = ()
 
 
+def _positive_floats(text: str) -> bool:
+    try:
+        return not text or all(0 < float(v) < math.inf for v in text.split(","))
+    except ValueError:
+        return False
+
+
 KEYS: dict[str, KeySpec] = {
     "run.seed": KeySpec("seed", int, ">= 0", lambda v: v >= 0),
     "run.out_dir": KeySpec("out_dir", str),
@@ -154,7 +158,6 @@ KEYS: dict[str, KeySpec] = {
                                     lambda v: 0.0 < v < 0.1),
     "data.val_frac": KeySpec("val_frac", float, "in [0, 1)", lambda v: 0.0 <= v < 1.0),
     "data.tile": KeySpec("tile", int, ">= 0 (0 disables tiling)", lambda v: v >= 0),
-    "unet.in_channels": KeySpec("in_channels", int, ">= 1", lambda v: v >= 1),
     "unet.base_channels": KeySpec("base_channels", int, ">= 1", lambda v: v >= 1),
     "unet.depth": KeySpec("depth", int, ">= 1", lambda v: v >= 1),
     "unet.channel_norm": KeySpec("channel_norm", bool),
@@ -178,7 +181,8 @@ KEYS: dict[str, KeySpec] = {
     "loss.focal_weight": KeySpec("focal_weight", float, ">= 0", lambda v: v >= 0),
     "loss.iou_weight": KeySpec("iou_weight", float, ">= 0", lambda v: v >= 0),
     "loss.per_image": KeySpec("per_image", bool),
-    "loss.class_weights": KeySpec("class_weights", str),
+    "loss.class_weights": KeySpec("class_weights", str,
+                                  "empty or comma-separated finite floats > 0", _positive_floats),
     "eval.checkpoint": KeySpec("checkpoint", str),
     "cost.geometry": KeySpec("cost_geometry", str, allowed=("reference", "model")),
     "cost.input_size": KeySpec("cost_input_size", int, ">= 1", lambda v: v >= 1),
@@ -269,13 +273,16 @@ def emit_config(cfg: RunConfig) -> str:
 # subcommands
 
 
+@functools.cache
 def _version_string() -> str:
+    """Package version plus the commit of the checkout the package lives in."""
     try:
         described = subprocess.run(["git", "describe", "--always", "--dirty"],
+                                   cwd=Path(__file__).parent,
                                    capture_output=True, text=True, timeout=5)
         if described.returncode == 0 and described.stdout.strip():
             return f"lfam-{__version__}+{described.stdout.strip()}"
-    except OSError:
+    except (OSError, subprocess.SubprocessError):  # no git, or it hung
         pass
     return f"lfam-{__version__}"
 
@@ -444,10 +451,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CheckpointError as exc:
-        print(f"file error: {exc}", file=sys.stderr)
-        return EXIT_FILE
-    except OSError as exc:
+    except OSError as exc:  # includes CheckpointError
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_FILE
     except NumericalError as exc:

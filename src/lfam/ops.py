@@ -32,7 +32,6 @@ from .tensor import (
     Tensor,
     _apply,
     add,
-    add_const,
     mul,
     pow_const,
     sub,
@@ -175,21 +174,18 @@ class NormParams:
     scale: Tensor
     shift: Tensor
 
-    def tensors(self) -> tuple[Tensor, Tensor]:
-        return (self.scale, self.shift)
-
 
 def init_norm(channels: int, dtype=np.float32) -> NormParams:
     return NormParams(Tensor(np.ones((1, channels, 1, 1), dtype=dtype), requires_grad=True),
                       Tensor(np.zeros((1, channels, 1, 1), dtype=dtype), requires_grad=True))
 
 
-def channel_norm(x: Tensor, p: NormParams, eps: float = 1e-5) -> Tensor:
+def channel_norm(x: Tensor, p: NormParams) -> Tensor:
     """Standardize each (sample, channel) plane over h, w, then scale and shift."""
     _, _, h, w = x.shape
     inv_hw = 1.0 / (h * w)
     mu = sum_axes(x, (2, 3)) * inv_hw
     xc = sub(x, mu)
     var = sum_axes(mul(xc, xc), (2, 3)) * inv_hw
-    inv_std = pow_const(add_const(var, eps), -0.5)
+    inv_std = pow_const(var + 1e-5, -0.5)  # the 1e-5 keeps a flat plane finite
     return add(mul(mul(xc, inv_std), p.scale), p.shift)

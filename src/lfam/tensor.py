@@ -74,35 +74,32 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    # arithmetic sugar; scalars stay scalars so float32 is not upcast
+    # arithmetic sugar; a scalar operand makes one affine node
 
     def __add__(self, other):
-        return add_const(self, other) if _is_scalar(other) else add(self, other)
+        return affine(self, 1.0, other) if _is_scalar(other) else add(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return add_const(self, -other) if _is_scalar(other) else sub(self, other)
+        return affine(self, 1.0, -other) if _is_scalar(other) else sub(self, other)
 
     def __rsub__(self, other):
-        return add_const(neg(self), other)
+        return affine(self, -1.0, other)
 
     def __mul__(self, other):
-        return mul_const(self, other) if _is_scalar(other) else mul(self, other)
+        return affine(self, other) if _is_scalar(other) else mul(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return mul_const(self, 1.0 / other) if _is_scalar(other) else div(self, other)
+        return affine(self, 1.0 / other) if _is_scalar(other) else div(self, other)
 
     def __neg__(self):
-        return neg(self)
+        return affine(self, -1.0)
 
 
 def _is_scalar(x) -> bool:
@@ -245,16 +242,17 @@ def div(a: Tensor, b: Tensor) -> Tensor:
                              _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
 
 
-def neg(a: Tensor) -> Tensor:
-    return _apply("neg", (a,), -a.data, lambda g: (-g,))
+def affine(a: Tensor, scale: float, shift: float = 0.0) -> Tensor:
+    """a * scale + shift for constants, which become Python floats.
 
-
-def add_const(a: Tensor, c: float) -> Tensor:
-    return _apply("add_const", (a,), a.data + c, lambda g: (g,))
-
-
-def mul_const(a: Tensor, c: float) -> Tensor:
-    return _apply("mul_const", (a,), a.data * c, lambda g: (g * c,))
+    A NumPy float64 constant would promote float32 data.  A zero shift is
+    not added, so a pure scale keeps signed zeros.
+    """
+    scale, shift = float(scale), float(shift)
+    out = a.data * scale
+    if shift:
+        out += shift
+    return _apply("affine", (a,), out, lambda g: (g * scale,))
 
 
 def pow_const(a: Tensor, p: float) -> Tensor:
@@ -283,9 +281,7 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = a.data.sum(dtype=a.data.dtype).reshape(1, 1, 1, 1)
-    return _apply("sum_all", (a,), out,
-                  lambda g: (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=False),))
+    return sum_axes(a, (0, 1, 2, 3))
 
 
 def sum_axes(a: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -449,9 +445,9 @@ def masked_softmax(logits: Tensor, mask: np.ndarray | None) -> Tensor:
     return _softmax(logits, 3, mask, "masked_softmax")
 
 
-def softmax(logits: Tensor, axis: int = 1) -> Tensor:
-    """Unmasked softmax, default over the channel axis (class probabilities)."""
-    return _softmax(logits, axis, None, "softmax")
+def softmax(logits: Tensor) -> Tensor:
+    """Unmasked softmax over the channel axis (class probabilities)."""
+    return _softmax(logits, 1, None, "softmax")
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .rng import make_rng
 from .tensor import (
     Tape,
     Tensor,
+    affine,
     backward,
     div,
     log,
@@ -97,27 +98,26 @@ def focal_iou_loss(logits: Tensor, target: np.ndarray, cfg: FocalIouLoss) -> Ten
     target = _check_target(logits, target)
     n, k, h, w = logits.shape
     onehot = _one_hot(target, k, logits.dtype)
-    p = softmax(logits, axis=1)
+    p = softmax(logits)
     overlap = mul(p, Tensor(onehot))
     pt = sum_axes(overlap, (1,))
 
-    # the minus sign of -ln p_t rides on the constant factor
+    # the minus sign of -ln p_t and the term weight ride on the constant factor
     focal = sum_all(mul(pow_const(1.0 - pt, cfg.gamma), log(pt)))
-    focal = focal * (-cfg.alpha / (n * h * w))
+    focal = focal * (-cfg.alpha * cfg.focal_weight / (n * h * w))
 
     axes = (2, 3) if cfg.per_image else (0, 2, 3)
     count = onehot.sum(axis=axes, keepdims=True)
     # present: classes with at least one target pixel (per image when split)
-    present = (count > 0).astype(logits.dtype)
-    n_present = float(present.sum())
+    n_present = float((count > 0).sum())
     inter = sum_axes(overlap, axes)
-    # sum(p + onehot - p*onehot); absent-class unions may vanish, so bump
-    # them by 1 to keep the excluded division finite
-    union = sum_axes(p, axes) - inter + Tensor(count + 1.0 - present)
-    # mean of 1 - iou over the present classes
-    iou_loss = sum_all(mul(div(inter, union), Tensor(present))) * (-1.0 / n_present) + 1.0
+    # sum(p + onehot - p*onehot); an absent class has inter exactly 0 and a
+    # count bumped to 1, so its ratio is exactly 0 and drops out of the sum
+    union = sum_axes(p, axes) - inter + Tensor(np.maximum(count, 1.0))
+    # iou_weight * mean of 1 - iou over the present classes
+    iou_loss = affine(sum_all(div(inter, union)), -cfg.iou_weight / n_present, cfg.iou_weight)
 
-    return focal * cfg.focal_weight + iou_loss * cfg.iou_weight
+    return focal + iou_loss
 
 
 def weighted_ce(logits: Tensor, target: np.ndarray, class_weights) -> Tensor:
@@ -130,7 +130,7 @@ def weighted_ce(logits: Tensor, target: np.ndarray, class_weights) -> Tensor:
     if (weights <= 0).any():
         raise ConfigError("class weights must be strictly positive")
     onehot = Tensor(_one_hot(target, k, logits.dtype))
-    p = softmax(logits, axis=1)
+    p = softmax(logits)
     pt = sum_axes(mul(p, onehot), (1,))
     wmap = weights[target][:, None]  # (n, 1, h, w)
     loss = sum_all(mul(Tensor(wmap), log(pt)))
@@ -181,11 +181,11 @@ class SgdState:
     velocity: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     v: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
@@ -222,18 +222,18 @@ def optimizer_step(opt: OptimState, params: dict[str, Tensor],
             p.data[...] -= lr * v
         return
     opt.step += 1
-    c1 = 1.0 - opt.beta1 ** opt.step
-    c2 = 1.0 - opt.beta2 ** opt.step
+    c1 = 1.0 - ADAM_BETA1 ** opt.step
+    c2 = 1.0 - ADAM_BETA2 ** opt.step
     for name, p in params.items():
         g = grads[name]
         m = opt.m.get(name)
         if m is None:
             m = np.zeros_like(p.data)
             opt.v[name] = np.zeros_like(p.data)
-        m = opt.beta1 * m + (1.0 - opt.beta1) * g
-        v = opt.beta2 * opt.v[name] + (1.0 - opt.beta2) * g * g
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * opt.v[name] + (1.0 - ADAM_BETA2) * g * g
         opt.m[name], opt.v[name] = m, v
-        p.data[...] -= lr * (m / c1) / (np.sqrt(v / c2) + opt.eps)
+        p.data[...] -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +296,7 @@ class TrainConfig:
     schedule: str = "cosine"
     loss: LossConfig = FocalIouLoss()
     seed: int = 0
-    momentum: float = 0.9  # SGD only; the Adam beta1 is fixed at 0.9
+    momentum: float = 0.9  # SGD only; Adam uses the fixed ADAM_BETA1
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:

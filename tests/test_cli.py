@@ -2,6 +2,8 @@
 end-to-end subcommand runs through main()."""
 
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lfam.cli
 from lfam.cli import (
     EXIT_CONFIG,
     EXIT_FILE,
@@ -65,6 +68,19 @@ class TestParseConfig:
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="expected key=value"):
             parse_config_text("run.seed 4\n")
+
+    def test_malformed_class_weights_name_the_line_for_any_loss(self):
+        with pytest.raises(ConfigError, match=":2:.*loss\\.class_weights must be"):
+            parse_config_text("loss.kind=focal_iou\nloss.class_weights=abc\n")
+
+    def test_non_positive_class_weight_names_the_line(self):
+        with pytest.raises(ConfigError, match=":2:.*loss\\.class_weights must be.*'1,0,2'"):
+            parse_config_text("loss.kind=weighted_ce\nloss.class_weights=1,0,2\n")
+
+    def test_removed_in_channels_key_is_unknown(self):
+        # every data source is single-channel, so the width is not a setting
+        with pytest.raises(ConfigError, match=":1:.*unknown key.*unet\\.in_channels"):
+            parse_config_text("unet.in_channels=3\n")
 
     def test_parse_from_file(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -294,6 +310,41 @@ class TestSubcommands:
     def test_cost_input_smaller_than_the_network_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, "cost.geometry=model\ncost.input_size=2\nunet.depth=2\n")
         assert main(["cost", "--config", cfg, "--out", str(tmp_path / "c")]) == EXIT_CONFIG
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    def test_version_names_the_package_checkout_not_the_working_directory(
+            self, tmp_path, monkeypatch):
+        version = lfam.cli._version_string
+        version.cache_clear()
+        monkeypatch.chdir(Path(lfam.cli.__file__).parent)
+        want = version()
+        other = tmp_path / "other"
+        other.mkdir()
+        for cmd in (["init", "-q"], ["-c", "user.name=x", "-c", "user.email=x@x",
+                                     "commit", "-q", "--allow-empty", "-m", "other"]):
+            subprocess.run(["git", *cmd], cwd=other, check=True, capture_output=True)
+        version.cache_clear()
+        monkeypatch.chdir(other)
+        try:
+            assert version() == want
+        finally:
+            version.cache_clear()
+
+    def test_version_spawns_git_once_per_process(self, tmp_path, monkeypatch):
+        calls = []
+
+        def fake_run(args, **kwargs):
+            calls.append(args)
+            return subprocess.CompletedProcess(args, 0, stdout="abc1234\n", stderr="")
+
+        lfam.cli._version_string.cache_clear()
+        monkeypatch.setattr(lfam.cli.subprocess, "run", fake_run)
+        try:
+            assert main(["cost", "--out", str(tmp_path / "c")]) == EXIT_OK
+        finally:
+            lfam.cli._version_string.cache_clear()
+        assert len(calls) == 1
+        assert json.loads((tmp_path / "c" / "run.json").read_text())["version"].endswith("+abc1234")
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE

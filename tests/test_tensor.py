@@ -11,7 +11,7 @@ from lfam.tensor import (
     Tape,
     Tensor,
     add,
-    add_const,
+    affine,
     backward,
     bmm,
     concat_channels,
@@ -21,8 +21,6 @@ from lfam.tensor import (
     log,
     masked_softmax,
     mul,
-    mul_const,
-    neg,
     pad_bottom_right,
     permute,
     pow_const,
@@ -94,6 +92,49 @@ class TestConstruction:
     def test_item_requires_scalar(self):
         with pytest.raises(ContractError):
             Tensor(np.zeros((1, 1, 2, 2))).item()
+
+
+class TestAffine:
+    def test_scalar_sugar_records_one_affine_node_each(self):
+        x = np.array([-1.5, 0.25, 3.0], dtype=np.float32)
+        t = Tensor(x, requires_grad=True)
+        cases = [(lambda a: a + 2.0, x + 2.0), (lambda a: a - 2.0, x - 2.0),
+                 (lambda a: 2.0 - a, 2.0 - x), (lambda a: a * 3.0, x * 3.0),
+                 (lambda a: a / 4.0, x * (1.0 / 4.0)), (lambda a: -a, -x)]
+        for fn, want in cases:
+            with Tape() as tape:
+                out = fn(t)
+            assert [node.op for node in tape.nodes] == ["affine"]
+            assert out.dtype == np.float32
+            np.testing.assert_array_equal(out.data[0, 0, 0], want)
+
+    def test_numpy_float64_constant_keeps_float32(self):
+        t = Tensor(np.ones((1, 2, 2, 2), dtype=np.float32), requires_grad=True)
+        with Tape() as tape:
+            loss = sum_all(affine(t, np.float64(0.3), np.float64(0.1)))
+        assert loss.dtype == np.float32
+        backward(tape, loss)
+        assert t.grad.dtype == np.float32
+
+    def test_pure_scale_keeps_signed_zeros(self):
+        zeros = Tensor(np.array([-0.0, 0.0]), dtype=np.float64)
+        np.testing.assert_array_equal(np.signbit(affine(zeros, 2.0).data.ravel()), [True, False])
+        np.testing.assert_array_equal(np.signbit(affine(zeros, 1.0, 0.0).data.ravel()),
+                                      [True, False])
+
+    @pytest.mark.parametrize("layout", ["c_order", "channel_major", "strided"])
+    def test_sum_all_is_a_bitwise_sum_axes_node(self, layout):
+        x = make_rng(19).standard_normal((3, 5, 12, 18)).astype(np.float32)
+        if layout == "channel_major":
+            x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        elif layout == "strided":
+            x = x[:, :, ::2, ::3]
+        t = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            total = sum_all(t)
+        assert [node.op for node in tape.nodes] == ["sum_axes"]
+        assert total.shape == (1, 1, 1, 1)
+        np.testing.assert_array_equal(total.data.reshape(()), x.sum(dtype=x.dtype))
 
 
 class TestMatmul:
@@ -202,7 +243,7 @@ class TestSoftmax:
 
     @pytest.mark.parametrize("fn,axis,kind", [(masked_softmax, 3, "padded"),
                                               (masked_softmax, 3, None),
-                                              (lambda t, _: softmax(t, axis=1), 1, None)])
+                                              (lambda t, _: softmax(t), 1, None)])
     def test_vjp_matches_former_formula(self, fn, axis, kind):
         rng = make_rng(13)
         x = Tensor(rng.standard_normal((2, 3, 16, 16)), requires_grad=True, dtype=np.float64)
@@ -262,7 +303,7 @@ class TestBackward:
         x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
         for _ in range(2):
             with Tape() as tape:
-                loss = sum_all(mul_const(x, 3.0))
+                loss = sum_all(affine(x, 3.0))
             backward(tape, loss)
         np.testing.assert_array_equal(x.grad, np.full_like(x.data, 6.0))
 
@@ -304,20 +345,22 @@ class TestBackward:
 class TestGradCheck:
     OPS = {
         "add": lambda x: sum_all(mul(add(x, x), x)),
-        "sub": lambda x: sum_all(mul(sub(x, mul_const(x, 0.5)), x)),
+        "sub": lambda x: sum_all(mul(sub(x, affine(x, 0.5)), x)),
         "mul": lambda x: sum_all(mul(x, x)),
-        "div": lambda x: sum_all(div(x, add_const(mul(x, x), 2.0))),
-        "neg": lambda x: sum_all(mul(neg(x), x)),
+        "div": lambda x: sum_all(div(x, affine(mul(x, x), 1.0, 2.0))),
+        "affine_scale": lambda x: sum_all(mul(affine(x, -1.5), x)),
+        "affine_shift": lambda x: sum_all(mul(affine(x, 1.0, 2.0), x)),
+        "affine_rsub": lambda x: sum_all(mul(1.5 - x, x)),
         "pow2": lambda x: sum_all(pow_const(x, 2.0)),
         "pow0": lambda x: sum_all(mul(pow_const(x, 0.0), x)),
-        "log": lambda x: sum_all(log(add_const(mul(x, x), 1.5))),
+        "log": lambda x: sum_all(log(affine(mul(x, x), 1.0, 1.5))),
         "relu": lambda x: sum_all(mul(relu(x), x)),
         "sum_axes": lambda x: sum_all(mul(sum_axes(x, (1, 2)), sum_axes(x, (0, 3)))),
         "reshape": lambda x: sum_all(mul(reshape(x, (1, 1, 4, int(x.size // 4))), reshape(x, (1, 1, 4, int(x.size // 4))))),
         "permute": lambda x: sum_all(mul(permute(x, (1, 0, 3, 2)), permute(x, (1, 0, 3, 2)))),
         "pad_crop": lambda x: sum_all(mul(crop_top_left(pad_bottom_right(x, 2, 1), x.shape[2], x.shape[3]), x)),
         "windows": lambda x: sum_all(pow_const(window_merge(window_split(x, 2), x.shape[0], x.shape[2], x.shape[3]), 2.0)),
-        "softmax": lambda x: sum_all(pow_const(softmax(x, axis=1), 2.0)),
+        "softmax": lambda x: sum_all(pow_const(softmax(x), 2.0)),
         "masked_softmax": lambda x: sum_all(pow_const(masked_softmax(x, _MASK[: x.shape[0]]), 2.0)),
     }
 

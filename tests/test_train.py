@@ -13,7 +13,7 @@ import lfam.train
 from lfam.attention import LfamConfig, ResidualSource
 from lfam.data import LabeledImage, gen_synthetic
 from lfam.errors import ConfigError, ContractError, LabelError, NumericalError
-from lfam.tensor import Tape, Tensor, grad_check
+from lfam.tensor import Tape, Tensor, backward, grad_check
 from lfam.train import (
     AdamState,
     EpochRecord,
@@ -104,6 +104,20 @@ class TestSoftIouTerm:
         two = focal_iou_loss(Tensor(base), target, FocalIouLoss(**IOU_ONLY))
         three = focal_iou_loss(Tensor(expanded), target, FocalIouLoss(**IOU_ONLY))
         np.testing.assert_allclose(three.item(), two.item(), atol=1e-12)
+
+    def test_absent_class_with_vanished_probability_stays_exact(self):
+        # exp(-1000) is 0, so the absent class's union is 0 before its count bump
+        rng = np.random.default_rng(6)
+        base = rng.normal(size=(1, 2, 4, 4))
+        target = rng.integers(0, 2, size=(1, 4, 4))
+        expanded = Tensor(np.concatenate([base, np.full((1, 1, 4, 4), -1000.0)], axis=1),
+                          requires_grad=True)
+        two = focal_iou_loss(Tensor(base), target, FocalIouLoss(**IOU_ONLY))
+        with Tape() as tape:
+            three = focal_iou_loss(expanded, target, FocalIouLoss(**IOU_ONLY))
+        backward(tape, three)
+        np.testing.assert_allclose(three.item(), two.item(), atol=1e-12)
+        assert np.isfinite(expanded.grad).all()
 
     def test_perfect_prediction_is_near_zero(self):
         target = np.array([[[0, 1], [1, 0]]], dtype=np.int64)
@@ -215,6 +229,30 @@ def test_desk_step_records_at_most_eighty_nodes():
     with Tape() as tape:
         focal_iou_loss(forward(model, x), rng.integers(0, 4, size=(1, 32, 32)), FocalIouLoss())
     assert len(tape.nodes) <= 80
+
+
+def test_focal_iou_loss_records_seventeen_nodes():
+    # softmax, p*onehot, p_t, 1 - p_t, pow, log, mul, sum, scale; sum p, inter,
+    # sub, add, div, sum, affine; focal + iou
+    rng = np.random.default_rng(15)
+    logits = Tensor(rng.normal(size=(2, 4, 8, 8)), requires_grad=True)
+    with Tape() as tape:
+        focal_iou_loss(logits, rng.integers(0, 3, size=(2, 8, 8)), FocalIouLoss())
+    assert len(tape.nodes) == 17
+
+
+def test_desk_step_records_seventy_four_nodes():
+    # the criterion-7 step: batch 8, 32x32, base 8, depth 2, m=4, encoder residual
+    lf = LfamConfig(local_range=4, residual_source=ResidualSource.ENCODER)
+    model = build_unet(UNetConfig(num_classes=4, base_channels=8, depth=2,
+                                  skips=(SkipSpec(kind="lfam", lfam=lf),) * 2), seed=0)
+    rng = np.random.default_rng(16)
+    x = Tensor(rng.random((8, 1, 32, 32)).astype(np.float32))
+    with Tape() as tape:
+        logits = forward(model, x)
+        forward_nodes = len(tape.nodes)
+        focal_iou_loss(logits, rng.integers(0, 4, size=(8, 32, 32)), FocalIouLoss())
+    assert (forward_nodes, len(tape.nodes)) == (57, 74)
 
 
 class TestSchedule:

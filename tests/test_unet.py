@@ -145,6 +145,19 @@ class TestForward:
             assert t.grad is not None, f"{name} got no gradient"
             assert np.isfinite(t.grad).all(), f"{name} gradient not finite"
 
+    def test_scaled_logits_stay_float32(self):
+        scaled = SkipSpec(kind="lfam", lfam=LfamConfig(local_range=4, scale_logits=True))
+        model = build_unet(UNetConfig(num_classes=3, base_channels=2, depth=2,
+                                      skips=(scaled, scaled)), seed=8)
+        x = Tensor(make_rng(9).standard_normal((1, 1, 8, 8)).astype(np.float32))
+        with Tape() as tape:
+            logits = forward(model, x)
+            loss = sum_all(pow_const(logits, 2.0))
+        backward(tape, loss)
+        assert logits.dtype == np.float32
+        for name, t in model.params.items():
+            assert t.grad.dtype == np.float32, f"{name} gradient is {t.grad.dtype}"
+
     def test_channel_norm_variant_runs(self):
         model = build_unet(small_cfg("lfam", channel_norm=True), seed=10)
         x = Tensor(make_rng(11).standard_normal((1, 1, 8, 8)).astype(np.float32))
