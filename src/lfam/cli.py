@@ -6,7 +6,8 @@ comment.  Unknown keys, duplicates, type errors, and constraint violations
 all fail with the offending line number; silence never hides a typo.
 
 Exit codes: 0 success, 1 internal error, 2 usage, 3 config error,
-4 file error, 5 numerical error.
+4 file error, 5 numerical error, 141 stdout closed by its reader
+(128 + SIGPIPE, the code a shell reports for a process that SIGPIPE ends).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_FILE = 4
 EXIT_NUMERICAL = 5
+EXIT_PIPE = 141
 
 OUT_DIR_ENV = "LFAM_OUT_DIR"
 
@@ -119,9 +121,9 @@ class RunConfig:
             weights = tuple(float(v) for v in fallback_weights)
         else:
             weights = (1.0,) * self.num_classes
-        if len(weights) != self.num_classes:
-            raise ConfigError(f"loss.class_weights has {len(weights)} entries "
-                              f"for {self.num_classes} classes")
+        problem = _weight_count_error(len(weights), self.num_classes)
+        if problem:
+            raise ConfigError(problem)
         return WeightedCeLoss(class_weights=weights)
 
     def train_config(self, loss) -> TrainConfig:
@@ -191,6 +193,12 @@ KEYS: dict[str, KeySpec] = {
 assert {spec.field for spec in KEYS.values()} == {f.name for f in fields(RunConfig)}
 
 
+def _weight_count_error(count: int, num_classes: int) -> str | None:
+    if count == num_classes:
+        return None
+    return f"loss.class_weights has {count} entries for {num_classes} classes (data.num_classes)"
+
+
 def _value_error(key: str, spec: KeySpec, value) -> str | None:
     """Why value is not allowed for key, or None when it is."""
     if spec.allowed and value not in spec.allowed:
@@ -247,6 +255,11 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
         if problem:
             raise ConfigError(f"{where}: {problem}")
         values[spec.field] = converted
+    if values.get("class_weights"):  # checked for every loss kind, before any output exists
+        problem = _weight_count_error(len(values["class_weights"].split(",")),
+                                      values.get("num_classes", RunConfig.num_classes))
+        if problem:
+            raise ConfigError(f"{origin}:{first_line['loss.class_weights']}: {problem}")
     return RunConfig(**values)
 
 
@@ -451,6 +464,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except BrokenPipeError:  # e.g. `lfam cost --json | head -3`
+        # point stdout at devnull, so the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except OSError as exc:  # includes CheckpointError
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_FILE

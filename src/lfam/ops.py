@@ -1,23 +1,30 @@
 """Convolution, pooling, and upconvolution layers over the tape.
 
 Each op has one geometry, set by the op and its kernel: conv2d is a
-stride-1 "same" conv with k 1 or 3 (zero padding k // 2); maxpool2x2 and
-upconv2x2 act on 2x2 blocks with stride 2.  Every contraction, forward
-and backward, is one 2-D matrix product on contiguous operands
-(im2col/col2im lowering, Chellapilla et al. 2006).
-conv2d builds a channel-major im2col matrix cols of shape (k*k*ic, n*h*w)
-with one np.ascontiguousarray over a sliding-window view of the
-(ic, n, h, w) padded input, and computes wmat @ cols with wmat of shape
-(oc, k*k*ic).  Its output keeps that channel-major memory order, so the
-next conv's (ic, n, h, w) view is already contiguous; for a 1x1 conv that
-view is cols itself and nothing is copied.  Backward forms the weight
-gradient and the column gradients with one product each and scatters the
-columns back with one loop per kernel tap.  upconv2x2 is one
-(n*h*w, ic) @ (ic, oc*4) product, and each of its two gradients is one
-more; it is the exact adjoint of a stride-2 kernel-2 convolution with the
-in/out axes of the weight swapped.  maxpool2x2 takes the maximum of the
-four strided corner views and breaks ties toward the first corner in
-row-major block order, so forward and backward agree bit-for-bit.
+stride-1 "same" conv with k 1 or 3 (zero padding p = k // 2); maxpool2x2
+and upconv2x2 act on 2x2 blocks with stride 2.  No op builds an im2col
+matrix.
+conv2d computes k*k shifted GEMMs over a padded grid ("kn2row",
+Vasudevan et al. 2017, arXiv 1704.04428; Anderson et al. 2017,
+arXiv 1709.03395).  The input is copied once into a zero-padded
+channel-major grid (ic, n, h+2p, w+2p), viewed flat as (ic, L); kernel tap
+(di, dj) is then the column slice at offset di*(w+2p) + dj, which BLAS
+reads in place.  The k*k products w[:, :, di, dj] @ slice sum into one
+(oc, L) map on the padded grid, which is cropped to (n, oc, h, w).  With
+one input channel the k*k products would be rank-1, so the tap slices are
+stacked into a (k*k, L) operand and multiplied once.  A 1x1 conv is one
+product with no padding, and over a channel-major input it copies
+nothing; the conv output keeps that channel-major memory order.  Backward
+pads g once: the weight gradient is k*k products of padded g with the same
+slices of the input grid, and the input gradient is the forward
+correlation run on padded g with the weight flipped in both spatial axes
+and its in/out axes swapped.  The vjp keeps only the padded input grid.
+upconv2x2 is one (n*h*w, ic) @ (ic, oc*4) product, and each of its two
+gradients is one more; it is the exact adjoint of a stride-2 kernel-2
+convolution with the in/out axes of the weight swapped.  maxpool2x2 takes
+the maximum of the four strided corner views and breaks ties toward the
+first corner in row-major block order, so forward and backward agree
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, ShapeError
 from .tensor import (
@@ -77,6 +83,39 @@ def he_conv(in_ch: int, out_ch: int, k: int, rng: np.random.Generator, dtype=np.
     return ConvParams(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
 
 
+def _grid(a: np.ndarray, pad: int) -> np.ndarray:
+    """(n, c, h, w) -> (c, n*hp*wp + tail) channel-major grid with zero padding pad.
+
+    The tail of 2 * pad * (wp + 1) zero columns lets every tap offset take a
+    full n*hp*wp-wide slice.  With pad 0 this is a reshape, which copies
+    nothing when a is already channel-major.
+    """
+    n, c, h, w = a.shape
+    t = a.transpose(1, 0, 2, 3)
+    if not pad:
+        return t.reshape(c, n * h * w)
+    hp, wp = h + 2 * pad, w + 2 * pad
+    span = n * hp * wp
+    grid = np.zeros((c, span + 2 * pad * (wp + 1)), a.dtype)
+    grid[:, :span].reshape(c, n, hp, wp)[:, :, pad:pad + h, pad:pad + w] = t
+    return grid
+
+
+def _correlate(wt: np.ndarray, grid: np.ndarray, offsets: list[int], span: int) -> np.ndarray:
+    """out[:, b] = sum over taps t of wt[t] @ grid[:, b + offsets[t]], for b < span.
+
+    wt is (taps, oc, ic).  With one input channel each tap would be a
+    rank-1 product, so the tap slices are stacked and multiplied once.
+    """
+    if grid.shape[0] == 1:
+        return wt[:, :, 0].T @ np.stack([grid[0, o:o + span] for o in offsets])
+    out, tmp = wt[0] @ grid[:, offsets[0]:offsets[0] + span], None
+    for w_t, o in zip(wt[1:], offsets[1:]):
+        tmp = np.matmul(w_t, grid[:, o:o + span], out=tmp)  # reuses one buffer
+        out += tmp
+    return out
+
+
 def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     """Stride-1 "same" cross-correlation: zero padding k // 2 keeps h and w."""
     oc, ic, k, _ = p.weight.shape
@@ -86,29 +125,33 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     if c != ic:
         raise ShapeError(f"conv2d: input has {c} channels, weight expects {ic}")
     pad = k // 2
+    hp, wp = h + 2 * pad, w + 2 * pad
+    span = n * hp * wp
+    # output (m, i, j) sits at grid column (m*hp + i)*wp + j, its window's
+    # top-left corner; tap (di, dj) reads di*wp + dj columns further on
+    offsets = [di * wp + dj for di in range(k) for dj in range(k)]
 
-    xp = x.data.transpose(1, 0, 2, 3)  # (ic, n, h, w) view
-    if pad:
-        xp = np.pad(xp, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    # (ic, n, h, w, k, k) window view, copied tap-major
-    taps = sliding_window_view(xp, (k, k), axis=(2, 3))
-    cols = np.ascontiguousarray(taps.transpose(4, 5, 0, 1, 2, 3)).reshape(k * k * ic, n * h * w)
-    wmat = p.weight.data.transpose(0, 2, 3, 1).reshape(oc, k * k * ic)
-    out = (wmat @ cols).reshape(oc, n, h, w).transpose(1, 0, 2, 3) + p.bias.data
+    def crop(a):  # (ch, span) on the padded grid -> (n, ch, h, w) view
+        return a.reshape(-1, n, hp, wp)[:, :, :h, :w].transpose(1, 0, 2, 3)
+
+    xg = _grid(x.data, pad)
+    wt = p.weight.data.transpose(2, 3, 0, 1).reshape(k * k, oc, ic)
+    # adding the bias copies the crop; the result stays channel-major
+    out = crop(_correlate(wt, xg, offsets, span)) + p.bias.data
     need_gx = x.requires_grad  # else the vjp returns None for gx
 
     def vjp(g):
-        gmat = g.transpose(1, 0, 2, 3).reshape(oc, n * h * w)
-        gb = g.sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1)
-        gw = (gmat @ cols.T).reshape(oc, k, k, ic).transpose(0, 3, 1, 2)
+        gg = _grid(g, pad)  # g centred, so gg[:, b + pad*wp + pad] is g at b
+        gb = gg.sum(axis=1).reshape(1, oc, 1, 1)
+        centre = pad * wp + pad
+        gc = gg[:, centre:centre + span]
+        gw = np.stack([gc @ xg[:, o:o + span].T for o in offsets])
+        gw = gw.reshape(k, k, oc, ic).transpose(2, 3, 0, 1)
         if not need_gx:
             return (None, gw, gb)
-        gcols = (wmat.T @ gmat).reshape(k, k, ic, n, h, w)
-        gxp = np.zeros((ic, n, h + 2 * pad, w + 2 * pad), dtype=g.dtype)
-        for di in range(k):
-            for dj in range(k):
-                gxp[:, :, di:di + h, dj:dj + w] += gcols[di, dj]
-        gx = gxp[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3)
+        # the input gradient is the same correlation of padded g with the
+        # weight flipped in both spatial axes and its in/out axes swapped
+        gx = crop(_correlate(wt[::-1].transpose(0, 2, 1), gg, offsets, span))
         return (gx, gw, gb)
 
     return _apply("conv2d", (x, p.weight, p.bias), out, vjp)

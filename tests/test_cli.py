@@ -2,8 +2,10 @@
 end-to-end subcommand runs through main()."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from lfam.cli import (
     EXIT_FILE,
     EXIT_NUMERICAL,
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_USAGE,
     KEYS,
     RunConfig,
@@ -204,6 +207,16 @@ class TestSubcommands:
         record = json.loads((tmp_path / "e" / "eval.json").read_text())
         assert len(record["per_class_iou"]) == 2
 
+    @pytest.mark.parametrize("kind", ["focal_iou", "weighted_ce"])
+    def test_class_weight_count_is_config_error_before_any_output(self, tmp_path, capsys, kind):
+        text = SMALL_TRAIN + f"loss.kind={kind}\nloss.class_weights=1,2,3\n"
+        line = text.splitlines().index("loss.class_weights=1,2,3") + 1
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert f"{cfg}:{line}: loss.class_weights has 3 entries for 2 classes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_without_checkpoint_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_TRAIN)
         assert main(["eval", "--config", cfg, "--out", str(tmp_path / "e")]) == EXIT_CONFIG
@@ -306,6 +319,28 @@ class TestSubcommands:
         record = json.loads(capsys.readouterr().out)
         assert len(record["levels"]) == 4
         assert record["ratio"] < 0.05
+
+    def test_closed_stdout_exits_with_the_pipe_code_and_no_message(self, tmp_path, capsys, monkeypatch):
+        class ClosedPipe:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return self.fd
+
+        with open(tmp_path / "stdout", "w") as target:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(target.fileno()))
+            code = main(["cost", "--json", "--out", str(tmp_path / "c")])
+            redirected = os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+        assert code == EXIT_PIPE and code != EXIT_FILE
+        assert redirected
+        assert capsys.readouterr().err == ""
 
     def test_cost_input_smaller_than_the_network_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, "cost.geometry=model\ncost.input_size=2\nunet.depth=2\n")

@@ -20,7 +20,11 @@ from lfam.ops import (
 from lfam.rng import make_rng
 from lfam.tensor import Tape, Tensor, backward, grad_check, mul, pow_const, sum_all
 
-CONV_SPECS = [(1, 6), (3, 6), (3, 7)]  # (k, size); conv2d pads k // 2
+# (k, in_ch, out_ch, size, channel_major); conv2d pads k // 2.  in_ch 1 takes
+# the stacked-tap product forward, out_ch 1 in the input gradient; the others
+# take one GEMM per tap.  channel_major inputs are (c, n, h, w) in memory.
+CONV_SPECS = [(1, 3, 2, 6, False), (1, 3, 2, 6, True), (3, 3, 2, 6, False),
+              (3, 3, 2, 7, True), (3, 1, 2, 6, False), (3, 2, 1, 7, True)]
 
 
 def conv_oracle(x, w, b, stride=1, pad=0):
@@ -67,6 +71,13 @@ def upconv_einsum_oracle(x, w, g):
     gx = np.einsum("nohiwj,ocij->nchw", g6, w)
     gw = np.einsum("nohiwj,nchw->ocij", g6, x)
     return out, gx, gw
+
+
+def conv_input(rng, spec):
+    """Float64 input of a CONV_SPECS entry, in the memory order it names."""
+    _, ic, _, size, channel_major = spec
+    x = rng.standard_normal((2, ic, size, size))
+    return np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3) if channel_major else x
 
 
 def input_grads(op, x, p, g):
@@ -129,20 +140,20 @@ class TestConv2d:
     @given(st.integers(0, 2**32 - 1), st.sampled_from(CONV_SPECS))
     @settings(max_examples=20, deadline=None)
     def test_matches_direct_loop(self, seed, spec):
-        k, size = spec
+        k, ic, oc = spec[:3]
         rng = make_rng(seed)
-        x = rng.standard_normal((2, 3, size, size))
-        p = make_params(rng, 3, 2, k)
+        x = conv_input(rng, spec)
+        p = make_params(rng, ic, oc, k)
         got = conv2d(Tensor(x, dtype=np.float64), p).data
         want = conv_oracle(x, p.weight.data, p.bias.data.ravel(), pad=k // 2)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("spec", CONV_SPECS)
     def test_vjp_matches_direct_loop_adjoint(self, spec):
-        k, size = spec
+        k, ic, oc = spec[:3]
         rng = make_rng(11 + k)
-        x = rng.standard_normal((2, 3, size, size))
-        p = make_params(rng, 3, 2, k)
+        x = conv_input(rng, spec)
+        p = make_params(rng, ic, oc, k)
         out = conv_oracle(x, p.weight.data, p.bias.data.ravel(), pad=k // 2)
         g = rng.standard_normal(out.shape)
         _, gx, gw, gb = input_grads(conv2d, x, p, g)
@@ -209,6 +220,22 @@ class TestConv2d:
         finally:
             tracemalloc.stop()
         assert peak < x.data.nbytes // 4
+
+    def test_vjp_keeps_less_than_twice_the_input_alive(self):
+        # the tape holds the output and the vjp closure; an im2col closure
+        # would hold nine copies of the input
+        rng = make_rng(8)
+        x = Tensor(rng.standard_normal((8, 8, 32, 32)).astype(np.float32), requires_grad=True)
+        p = he_conv(8, 8, 3, rng)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                y = conv2d(x, p)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tape.nodes) == 1
+        assert held - y.data.nbytes < 2 * x.data.nbytes
 
 
 class TestMaxpool:
