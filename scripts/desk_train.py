@@ -23,6 +23,7 @@ from lfam import (
     train_loop,
 )
 from lfam.data import replace_atomically
+from lfam.train import nan_to_none
 
 
 def main() -> int:
@@ -69,8 +70,7 @@ def main() -> int:
           f"best val mean IoU {run.best_val_mean_iou:.4f} "
           f"at epoch {run.best_epoch}")
 
-    if run.best_params is not None:
-        model.load_arrays(run.best_params)
+    # train_loop leaves the model at its best validation epoch
     per_class, mean = evaluate(model, test, batch_size=train_cfg.batch_size)
     print("test per-class IoU:",
           " ".join(f"{v:.4f}" for v in per_class))
@@ -78,9 +78,9 @@ def main() -> int:
 
     record = {
         "best_epoch": run.best_epoch,
-        "best_val_mean_iou": run.best_val_mean_iou,
-        "test_mean_iou": mean,
-        "test_per_class_iou": [float(v) for v in per_class],
+        "best_val_mean_iou": nan_to_none(run.best_val_mean_iou),
+        "test_mean_iou": nan_to_none(mean),
+        "test_per_class_iou": [nan_to_none(v) for v in per_class],
         "elapsed_seconds": elapsed,
     }
     text = json.dumps(record, indent=2) + "\n"

@@ -94,12 +94,10 @@ def run_ablation(cfg: AblationConfig = AblationConfig()) -> AblationReport:
                                   base_channels=cfg.base_channels, depth=cfg.depth,
                                   skips=(skip,) * cfg.depth)
             model = build_unet(unet_cfg, seed=seed)
-            run = train_loop(model, (train, val),
-                             TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
-                                         lr_base=cfg.lr_base, seed=seed,
-                                         loss=FocalIouLoss()))
-            if run.best_params is not None:
-                model.load_arrays(run.best_params)
+            # train_loop leaves the model at its best validation epoch
+            train_loop(model, (train, val),
+                       TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
+                                   lr_base=cfg.lr_base, seed=seed, loss=FocalIouLoss()))
             per_class, _ = evaluate(model, test, cfg.batch_size)
             scores.append(float(per_class[rare]))
         variants.append(VariantResult(name=name, per_seed=tuple(scores)))

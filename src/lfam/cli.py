@@ -2,8 +2,10 @@
 evaluation, gradient checking, cost reporting, and data generation.
 
 Config files are plain text, one `section.key=value` per line, `#` starts a
-comment.  Unknown keys, duplicates, type errors, and constraint violations
-all fail with the offending line number; silence never hides a typo.
+comment.  Each key is declared once, on the RunConfig field it sets, with
+its range check or choices.  Unknown keys, duplicates, type errors, and
+constraint violations all fail with the offending line number; silence
+never hides a typo.
 
 Exit codes: 0 success, 1 internal error, 2 usage, 3 config error,
 4 file error, 5 numerical error, 141 stdout closed by its reader
@@ -19,7 +21,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -28,7 +30,7 @@ from .costmodel import cost_report, network_cost_report, reference_levels, rende
 from .data import compute_class_weights, crop_tiles, gen_synthetic, load_dataset, replace_atomically, save_dataset
 from .errors import ConfigError, LfamError, NumericalError
 from .rng import make_rng
-from .train import FocalIouLoss, TrainConfig, WeightedCeLoss, evaluate, train_loop
+from .train import FocalIouLoss, TrainConfig, WeightedCeLoss, evaluate, nan_to_none, train_loop
 from .unet import SkipSpec, UNetConfig, build_unet, load_checkpoint
 from .verify import gradient_suite, render_suite
 
@@ -43,51 +45,69 @@ EXIT_PIPE = 141
 OUT_DIR_ENV = "LFAM_OUT_DIR"
 
 
+def _positive_floats(text: str) -> bool:
+    try:
+        return not text or all(0 < float(v) < math.inf for v in text.split(","))
+    except ValueError:
+        return False
+
+
+def _key(key: str, default, valid: str = "", check=None, allowed: tuple = ()):
+    """A RunConfig field set by config `key`, typed by its default; a value must
+    be one of `allowed` if given and pass `check` (described by `valid`) if given."""
+    return field(default=default,
+                 metadata={"key": key, "valid": valid, "check": check, "allowed": allowed})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Every tunable of the artifact, with its documented default."""
+    """Every tunable of the artifact, with its config key and documented default."""
 
-    seed: int = 0
-    out_dir: str = "runs/latest"
+    seed: int = _key("run.seed", 0, ">= 0", lambda v: v >= 0)
+    out_dir: str = _key("run.out_dir", "runs/latest")
 
-    data_root: str = ""
-    n_images: int = 64
-    image_size: int = 32
-    num_classes: int = 4
-    rare_class_frac: float = 0.015
-    val_frac: float = 0.25
-    tile: int = 0
+    data_root: str = _key("data.root", "")
+    n_images: int = _key("data.n_images", 64, ">= 1", lambda v: v >= 1)
+    image_size: int = _key("data.size", 32, ">= 8", lambda v: v >= 8)
+    num_classes: int = _key("data.num_classes", 4, ">= 2", lambda v: v >= 2)
+    rare_class_frac: float = _key("data.rare_class_frac", 0.015, "in (0, 0.1)",
+                                  lambda v: 0.0 < v < 0.1)
+    val_frac: float = _key("data.val_frac", 0.25, "in [0, 1)", lambda v: 0.0 <= v < 1.0)
+    tile: int = _key("data.tile", 0, ">= 0 (0 disables tiling)", lambda v: v >= 0)
 
-    base_channels: int = 8
-    depth: int = 2
-    channel_norm: bool = False
-    skip: str = "lfam"
+    base_channels: int = _key("unet.base_channels", 8, ">= 1", lambda v: v >= 1)
+    depth: int = _key("unet.depth", 2, ">= 1", lambda v: v >= 1)
+    channel_norm: bool = _key("unet.channel_norm", False)
+    skip: str = _key("unet.skip", "lfam", allowed=("concat", "lfam", "none"))
 
-    local_range: int = 7
-    residual_source: str = "encoder"
-    proj_channels: int = 0
-    scale_logits: bool = False
-    swap_qkv: bool = False
+    local_range: int = _key("lfam.local_range", 7, ">= 1", lambda v: v >= 1)
+    residual_source: str = _key("lfam.residual_source", "encoder",
+                                allowed=("encoder", "decoder", "none"))
+    proj_channels: int = _key("lfam.proj_channels", 0, ">= 0 (0 keeps input width)",
+                              lambda v: v >= 0)
+    scale_logits: bool = _key("lfam.scale_logits", False)
+    swap_qkv: bool = _key("lfam.swap_qkv", False)
 
-    optimizer: str = "adam"
-    lr_base: float = 1e-3
-    epochs: int = 50
-    batch_size: int = 8
-    schedule: str = "cosine"
-    momentum: float = 0.9
+    optimizer: str = _key("train.optimizer", "adam", allowed=("adam", "sgd"))
+    lr_base: float = _key("train.lr_base", 1e-3, "> 0", lambda v: v > 0)
+    epochs: int = _key("train.epochs", 50, ">= 0", lambda v: v >= 0)
+    batch_size: int = _key("train.batch_size", 8, ">= 1", lambda v: v >= 1)
+    schedule: str = _key("train.schedule", "cosine", allowed=("cosine", "constant"))
+    momentum: float = _key("train.momentum", 0.9, "in [0, 1)", lambda v: 0.0 <= v < 1.0)
 
-    loss_kind: str = "focal_iou"
-    gamma: float = 2.0
-    alpha: float = 1.0
-    focal_weight: float = 1.0
-    iou_weight: float = 1.0
-    per_image: bool = False
-    class_weights: str = ""
+    loss_kind: str = _key("loss.kind", "focal_iou", allowed=("focal_iou", "weighted_ce"))
+    gamma: float = _key("loss.gamma", 2.0, ">= 0", lambda v: v >= 0)
+    alpha: float = _key("loss.alpha", 1.0, ">= 0", lambda v: v >= 0)
+    focal_weight: float = _key("loss.focal_weight", 1.0, ">= 0", lambda v: v >= 0)
+    iou_weight: float = _key("loss.iou_weight", 1.0, ">= 0", lambda v: v >= 0)
+    per_image: bool = _key("loss.per_image", False)
+    class_weights: str = _key("loss.class_weights", "",
+                              "empty or comma-separated finite floats > 0", _positive_floats)
 
-    checkpoint: str = ""
+    checkpoint: str = _key("eval.checkpoint", "")
 
-    cost_geometry: str = "reference"
-    cost_input_size: int = 256
+    cost_geometry: str = _key("cost.geometry", "reference", allowed=("reference", "model"))
+    cost_input_size: int = _key("cost.input_size", 256, ">= 1", lambda v: v >= 1)
 
     def __post_init__(self):
         _validate_fields(self)
@@ -133,64 +153,8 @@ class RunConfig:
                            momentum=self.momentum)
 
 
-@dataclass(frozen=True)
-class KeySpec:
-    field: str
-    kind: type
-    valid: str = ""
-    check: object = None
-    allowed: tuple = ()
-
-
-def _positive_floats(text: str) -> bool:
-    try:
-        return not text or all(0 < float(v) < math.inf for v in text.split(","))
-    except ValueError:
-        return False
-
-
-KEYS: dict[str, KeySpec] = {
-    "run.seed": KeySpec("seed", int, ">= 0", lambda v: v >= 0),
-    "run.out_dir": KeySpec("out_dir", str),
-    "data.root": KeySpec("data_root", str),
-    "data.n_images": KeySpec("n_images", int, ">= 1", lambda v: v >= 1),
-    "data.size": KeySpec("image_size", int, ">= 8", lambda v: v >= 8),
-    "data.num_classes": KeySpec("num_classes", int, ">= 2", lambda v: v >= 2),
-    "data.rare_class_frac": KeySpec("rare_class_frac", float, "in (0, 0.1)",
-                                    lambda v: 0.0 < v < 0.1),
-    "data.val_frac": KeySpec("val_frac", float, "in [0, 1)", lambda v: 0.0 <= v < 1.0),
-    "data.tile": KeySpec("tile", int, ">= 0 (0 disables tiling)", lambda v: v >= 0),
-    "unet.base_channels": KeySpec("base_channels", int, ">= 1", lambda v: v >= 1),
-    "unet.depth": KeySpec("depth", int, ">= 1", lambda v: v >= 1),
-    "unet.channel_norm": KeySpec("channel_norm", bool),
-    "unet.skip": KeySpec("skip", str, allowed=("concat", "lfam", "none")),
-    "lfam.local_range": KeySpec("local_range", int, ">= 1", lambda v: v >= 1),
-    "lfam.residual_source": KeySpec("residual_source", str,
-                                    allowed=("encoder", "decoder", "none")),
-    "lfam.proj_channels": KeySpec("proj_channels", int, ">= 0 (0 keeps input width)",
-                                  lambda v: v >= 0),
-    "lfam.scale_logits": KeySpec("scale_logits", bool),
-    "lfam.swap_qkv": KeySpec("swap_qkv", bool),
-    "train.optimizer": KeySpec("optimizer", str, allowed=("adam", "sgd")),
-    "train.lr_base": KeySpec("lr_base", float, "> 0", lambda v: v > 0),
-    "train.epochs": KeySpec("epochs", int, ">= 0", lambda v: v >= 0),
-    "train.batch_size": KeySpec("batch_size", int, ">= 1", lambda v: v >= 1),
-    "train.schedule": KeySpec("schedule", str, allowed=("cosine", "constant")),
-    "train.momentum": KeySpec("momentum", float, "in [0, 1)", lambda v: 0.0 <= v < 1.0),
-    "loss.kind": KeySpec("loss_kind", str, allowed=("focal_iou", "weighted_ce")),
-    "loss.gamma": KeySpec("gamma", float, ">= 0", lambda v: v >= 0),
-    "loss.alpha": KeySpec("alpha", float, ">= 0", lambda v: v >= 0),
-    "loss.focal_weight": KeySpec("focal_weight", float, ">= 0", lambda v: v >= 0),
-    "loss.iou_weight": KeySpec("iou_weight", float, ">= 0", lambda v: v >= 0),
-    "loss.per_image": KeySpec("per_image", bool),
-    "loss.class_weights": KeySpec("class_weights", str,
-                                  "empty or comma-separated finite floats > 0", _positive_floats),
-    "eval.checkpoint": KeySpec("checkpoint", str),
-    "cost.geometry": KeySpec("cost_geometry", str, allowed=("reference", "model")),
-    "cost.input_size": KeySpec("cost_input_size", int, ">= 1", lambda v: v >= 1),
-}
-
-assert {spec.field for spec in KEYS.values()} == {f.name for f in fields(RunConfig)}
+# config key -> the RunConfig field it sets, in declaration order
+KEYS = {f.metadata["key"]: f for f in fields(RunConfig)}
 
 
 def _weight_count_error(count: int, num_classes: int) -> str | None:
@@ -199,35 +163,37 @@ def _weight_count_error(count: int, num_classes: int) -> str | None:
     return f"loss.class_weights has {count} entries for {num_classes} classes (data.num_classes)"
 
 
-def _value_error(key: str, spec: KeySpec, value) -> str | None:
-    """Why value is not allowed for key, or None when it is."""
-    if spec.allowed and value not in spec.allowed:
-        return f"{key} must be one of {', '.join(spec.allowed)}, got {value!r}"
-    if spec.check is not None and not spec.check(value):
-        return f"{key} must be {spec.valid}, got {value!r}"
+def _value_error(f: Field, value) -> str | None:
+    """Why value is not allowed for f's key, or None when it is."""
+    key, allowed, check = f.metadata["key"], f.metadata["allowed"], f.metadata["check"]
+    if allowed and value not in allowed:
+        return f"{key} must be one of {', '.join(allowed)}, got {value!r}"
+    if check is not None and not check(value):
+        return f"{key} must be {f.metadata['valid']}, got {value!r}"
     return None
 
 
 def _validate_fields(cfg: RunConfig) -> None:
-    for key, spec in KEYS.items():
-        problem = _value_error(key, spec, getattr(cfg, spec.field))
+    for f in fields(cfg):
+        problem = _value_error(f, getattr(cfg, f.name))
         if problem:
             raise ConfigError(problem)
 
 
-def _convert(key: str, spec: KeySpec, value: str, where: str):
-    if spec.kind is bool:
+def _convert(f: Field, value: str, where: str):
+    key, kind = f.metadata["key"], type(f.default)
+    if kind is bool:
         if value == "true":
             return True
         if value == "false":
             return False
         raise ConfigError(f"{where}: {key} must be true or false, got {value!r}")
-    if spec.kind is str:
+    if kind is str:
         return value
     try:
-        return spec.kind(value)
+        return kind(value)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {key} must be {spec.kind.__name__}, "
+        raise ConfigError(f"{where}: {key} must be {kind.__name__}, "
                           f"got {value!r}") from exc
 
 
@@ -243,18 +209,18 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
             raise ConfigError(f"{where}: expected key=value, got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        spec = KEYS.get(key)
-        if spec is None:
+        f = KEYS.get(key)
+        if f is None:
             raise ConfigError(f"{where}: unknown key {key!r}")
         if key in first_line:
             raise ConfigError(f"{where}: duplicate key {key!r} "
                               f"(first set on line {first_line[key]})")
         first_line[key] = lineno
-        converted = _convert(key, spec, value, where)
-        problem = _value_error(key, spec, converted)
+        converted = _convert(f, value, where)
+        problem = _value_error(f, converted)
         if problem:
             raise ConfigError(f"{where}: {problem}")
-        values[spec.field] = converted
+        values[f.name] = converted
     if values.get("class_weights"):  # checked for every loss kind, before any output exists
         problem = _weight_count_error(len(values["class_weights"].split(",")),
                                       values.get("num_classes", RunConfig.num_classes))
@@ -271,7 +237,7 @@ def emit_config(cfg: RunConfig) -> str:
     """Text form of a config; parse_config_text(emit_config(c)) == c."""
     lines = []
     for key in sorted(KEYS):
-        value = getattr(cfg, KEYS[key].field)
+        value = getattr(cfg, KEYS[key].name)
         if isinstance(value, bool):
             text = "true" if value else "false"
         elif isinstance(value, float):
@@ -346,7 +312,7 @@ def _split_train_val(images, cfg: RunConfig):
     return train, val
 
 
-def _cmd_train(cfg: RunConfig, out: Path) -> int:
+def _cmd_train(cfg: RunConfig, out: Path, json_output: bool) -> int:
     images = _load_images(cfg)
     train, val = _split_train_val(images, cfg)
     fallback = None
@@ -357,13 +323,13 @@ def _cmd_train(cfg: RunConfig, out: Path) -> int:
     run = train_loop(model, (train, val), cfg.train_config(loss), out_dir=out)
     print(f"trained {cfg.epochs} epochs on {len(train)} images "
           f"({len(val)} validation)")
-    if run.records:
+    if run.records and val:
         print(f"best val mean IoU {run.best_val_mean_iou:.4f} at epoch {run.best_epoch}")
     print(f"outputs in {out}")
     return EXIT_OK
 
 
-def _cmd_eval(cfg: RunConfig, out: Path) -> int:
+def _cmd_eval(cfg: RunConfig, out: Path, json_output: bool) -> int:
     if not cfg.checkpoint:
         raise ConfigError("eval.checkpoint is required for the eval subcommand")
     model = load_checkpoint(cfg.checkpoint, cfg.unet_config())
@@ -373,12 +339,12 @@ def _cmd_eval(cfg: RunConfig, out: Path) -> int:
         print(f"class {i} IoU: {v:.4f}")
     print(f"mean IoU: {miou:.4f} over {len(images)} images")
     _write_text(out / "eval.json", json.dumps(
-        {"checkpoint": cfg.checkpoint, "mean_iou": miou,
-         "per_class_iou": [float(v) for v in per_class]}, indent=2) + "\n")
+        {"checkpoint": cfg.checkpoint, "mean_iou": nan_to_none(miou),
+         "per_class_iou": [nan_to_none(v) for v in per_class]}, indent=2) + "\n")
     return EXIT_OK
 
 
-def _cmd_gradcheck(cfg: RunConfig, out: Path) -> int:
+def _cmd_gradcheck(cfg: RunConfig, out: Path, json_output: bool) -> int:
     results = gradient_suite(seed=cfg.seed)
     print(render_suite(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERICAL
@@ -396,7 +362,7 @@ def _cmd_cost(cfg: RunConfig, out: Path, json_output: bool) -> int:
     return EXIT_OK
 
 
-def _cmd_gen_data(cfg: RunConfig, out: Path) -> int:
+def _cmd_gen_data(cfg: RunConfig, out: Path, json_output: bool) -> int:
     root = Path(cfg.data_root) if cfg.data_root else out / "dataset"
     images = gen_synthetic(cfg.n_images, cfg.image_size, cfg.num_classes,
                            cfg.rare_class_frac, seed=cfg.seed)
@@ -406,23 +372,24 @@ def _cmd_gen_data(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
+# subcommand -> (help text, handler); every handler takes (cfg, out, json_output)
+COMMANDS = {
+    "train": ("train a model and write logs plus the best checkpoint", _cmd_train),
+    "eval": ("load a checkpoint and report per-class and mean IoU", _cmd_eval),
+    "gradcheck": ("run the double-precision gradient suite", _cmd_gradcheck),
+    "cost": ("print the attention flop comparison table", _cmd_cost),
+    "gen-data": ("write a synthetic dataset to disk", _cmd_gen_data),
+}
+
+
 def dispatch(subcommand: str, cfg: RunConfig, json_output: bool = False) -> int:
-    known = ("train", "eval", "gradcheck", "cost", "gen-data")
-    if subcommand not in known:
-        print(f"unknown subcommand {subcommand!r}; expected one of {', '.join(known)}",
+    if subcommand not in COMMANDS:
+        print(f"unknown subcommand {subcommand!r}; expected one of {', '.join(COMMANDS)}",
               file=sys.stderr)
         return EXIT_USAGE
     out = _resolve_out_dir(cfg)
     _write_provenance(out, cfg, subcommand)
-    if subcommand == "train":
-        return _cmd_train(cfg, out)
-    if subcommand == "eval":
-        return _cmd_eval(cfg, out)
-    if subcommand == "gradcheck":
-        return _cmd_gradcheck(cfg, out)
-    if subcommand == "cost":
-        return _cmd_cost(cfg, out, json_output)
-    return _cmd_gen_data(cfg, out)
+    return COMMANDS[subcommand][1](cfg, out, json_output)
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Windowed source-target attention for U-Net skip connections.")
     parser.add_argument("--version", action="version", version=_version_string())
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-            ("train", "train a model and write logs plus the best checkpoint"),
-            ("eval", "load a checkpoint and report per-class and mean IoU"),
-            ("gradcheck", "run the double-precision gradient suite"),
-            ("cost", "print the attention flop comparison table"),
-            ("gen-data", "write a synthetic dataset to disk")):
+    for name, (helptext, _) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="key=value config file (defaults apply without it)")
         p.add_argument("--out", help=f"output directory (env {OUT_DIR_ENV} overrides)")

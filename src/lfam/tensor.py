@@ -261,8 +261,13 @@ def pow_const(a: Tensor, p: float) -> Tensor:
         out = np.ones_like(a.data)
         return _apply("pow_const", (a,), out, lambda g: (np.zeros_like(a.data),))
     out = a.data ** p
-    return _apply("pow_const", (a,), out,
-                  lambda g: (g * p * a.data ** (p - 1),))
+
+    def vjp(g):
+        # a zero g stays zero where a**(p-1) is inf (a == 0, p < 1), not 0 * inf = NaN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (np.where(g == 0, g, g * p * a.data ** (p - 1)),)
+
+    return _apply("pow_const", (a,), out, vjp)
 
 
 def log(a: Tensor) -> Tensor:

@@ -274,6 +274,11 @@ def predict_labels(logits) -> np.ndarray:
     return np.argmax(data, axis=1)
 
 
+def nan_to_none(value: float) -> float | None:
+    """An IoU for a JSON record: NaN (undefined) becomes None, written as null."""
+    return None if np.isnan(value) else float(value)
+
+
 def mean_iou(acc: IouAccumulator) -> tuple[np.ndarray, float]:
     """Per-class IoU (nan where the class never appears) and the mean over defined classes."""
     per_class = np.full(acc.num_classes, np.nan)
@@ -339,7 +344,7 @@ class RunLog:
         return {
             "epochs": len(self.records),
             "best_epoch": self.best_epoch,
-            "best_val_mean_iou": self.best_val_mean_iou,
+            "best_val_mean_iou": nan_to_none(self.best_val_mean_iou),
             "final_train_loss": self.records[-1].train_loss if self.records else None,
         }
 
@@ -366,8 +371,10 @@ def evaluate(model: ModelState, images, batch_size: int = 8) -> tuple[np.ndarray
 def train_loop(model: ModelState, data, cfg: TrainConfig, out_dir=None) -> RunLog:
     """Seeded shuffle, forward, loss, backward, step; tracks best validation IoU.
 
-    data is a (train_images, val_images) pair of LabeledImage lists.  With
-    out_dir set, writes log.csv, summary.json, and best.ckpt there.
+    data is a (train_images, val_images) pair of LabeledImage lists; with no
+    validation images the last epoch counts as best.  The model is left
+    holding the best epoch's parameters.  With out_dir set, writes log.csv,
+    summary.json, and best.ckpt (the model as returned) there.
     """
     train_images, val_images = data
     if not train_images:
@@ -409,11 +416,14 @@ def train_loop(model: ModelState, data, cfg: TrainConfig, out_dir=None) -> RunLo
                                        train_loss=loss_sum / seen,
                                        val_mean_iou=miou,
                                        per_class_iou=tuple(float(v) for v in per_class)))
-        if run.best_params is None or miou > run.best_val_mean_iou:
+        # with no validation set every IoU is NaN, and the last epoch is kept
+        if run.best_params is None or miou > run.best_val_mean_iou or not val_images:
             run.best_epoch = epoch
             run.best_val_mean_iou = miou
             run.best_params = {name: p.data.copy() for name, p in model.params.items()}
 
+    if run.best_params is not None:
+        model.load_arrays(run.best_params)
     if out_dir is not None:
         _write_run_outputs(out_dir, model, run)
     return run
@@ -429,9 +439,4 @@ def _write_run_outputs(out_dir, model: ModelState, run: RunLog) -> None:
     replace_atomically(out / "log.csv", lambda p: p.write_text(log_text))
     replace_atomically(out / "summary.json", lambda p: p.write_text(summary_text))
     if run.best_params is not None:
-        current = {name: p.data.copy() for name, p in model.params.items()}
-        model.load_arrays(run.best_params)
-        try:
-            replace_atomically(out / "best.ckpt", lambda p: save_checkpoint(p, model))
-        finally:
-            model.load_arrays(current)
+        replace_atomically(out / "best.ckpt", lambda p: save_checkpoint(p, model))

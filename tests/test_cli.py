@@ -6,6 +6,8 @@ import os
 import shutil
 import subprocess
 import sys
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -412,3 +414,89 @@ class TestSubcommands:
         code = main(["train", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == EXIT_NUMERICAL
         assert "epoch" in capsys.readouterr().err
+
+
+class TestDeclarations:
+    def test_every_field_carries_a_unique_key(self):
+        keys = [f.metadata.get("key") for f in fields(RunConfig)]
+        assert None not in keys
+        assert len(set(keys)) == len(keys) == len(KEYS) == 34
+
+    def test_each_default_has_its_annotated_type(self):
+        # the parser converts values to the default's type, so a float field
+        # with the default 1 would reject "0.5"
+        hints = typing.get_type_hints(RunConfig)
+        for f in fields(RunConfig):
+            assert type(f.default) is hints[f.name], f.name
+
+
+MAIN_HELP = """\
+usage: lfam [-h] [--version] {train,eval,gradcheck,cost,gen-data} ...
+
+Windowed source-target attention for U-Net skip connections.
+
+positional arguments:
+  {train,eval,gradcheck,cost,gen-data}
+    train               train a model and write logs plus the best checkpoint
+    eval                load a checkpoint and report per-class and mean IoU
+    gradcheck           run the double-precision gradient suite
+    cost                print the attention flop comparison table
+    gen-data            write a synthetic dataset to disk
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+
+SUBCOMMAND_HELP = """\
+usage: lfam {name} [-h] [--config CONFIG] [--out OUT]{json_usage}
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  key=value config file (defaults apply without it)
+  --out OUT        output directory (env LFAM_OUT_DIR overrides)
+{json_line}"""
+
+
+class TestHelpText:
+    def test_top_level_help(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(["--help"]) == EXIT_OK
+        assert capsys.readouterr().out == MAIN_HELP
+
+    @pytest.mark.parametrize("name", ["train", "eval", "gradcheck", "cost", "gen-data"])
+    def test_subcommand_help(self, capsys, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "80")
+        json_usage, json_line = "", ""
+        if name == "cost":
+            json_usage = " [--json]"
+            json_line = "  --json           emit the report as JSON instead of a table\n"
+        assert main([name, "--help"]) == EXIT_OK
+        assert capsys.readouterr().out == SUBCOMMAND_HELP.format(
+            name=name, json_usage=json_usage, json_line=json_line)
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestStrictJsonArtifacts:
+    def test_train_without_validation_writes_null_best_iou(self, tmp_path):
+        cfg = write_cfg(tmp_path, SMALL_TRAIN.replace("data.val_frac=0.25", "data.val_frac=0"))
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject_constant)
+        assert summary["best_epoch"] == 1 and summary["best_val_mean_iou"] is None
+
+    def test_eval_writes_null_for_an_absent_class(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert main(["train", "--config", write_cfg(tmp_path, SMALL_TRAIN),
+                     "--out", str(out)]) == EXIT_OK
+        # class 1 absent from both prediction and target: its IoU is undefined
+        monkeypatch.setattr(lfam.cli, "evaluate", lambda *args: (np.array([1.0, np.nan]), 1.0))
+        eval_cfg = write_cfg(tmp_path, SMALL_TRAIN +
+                             f"eval.checkpoint={out / 'best.ckpt'}\n", "eval.cfg")
+        assert main(["eval", "--config", eval_cfg, "--out", str(tmp_path / "e")]) == EXIT_OK
+        record = json.loads((tmp_path / "e" / "eval.json").read_text(),
+                            parse_constant=reject_constant)
+        assert record["per_class_iou"] == [1.0, None] and record["mean_iou"] == 1.0

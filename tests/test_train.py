@@ -218,6 +218,17 @@ class TestLossGradients:
         err = grad_check(lambda t: weighted_ce(t, target, (0.5, 1.0, 2.5)), x)
         assert err < 1e-4
 
+    def test_gamma_below_one_on_a_saturated_pixel_has_finite_gradient(self):
+        # a logit gap of 30 rounds p_t to exactly 1.0 in float32, where
+        # (1 - p_t)**(gamma - 1) is inf and the incoming gradient c * ln 1 is 0
+        x = Tensor(np.array([0.0, 30.0], dtype=np.float32).reshape(1, 2, 1, 1),
+                   requires_grad=True)
+        with Tape() as tape:
+            loss = focal_iou_loss(x, np.ones((1, 1, 1), dtype=np.int64), FocalIouLoss(gamma=0.5))
+        backward(tape, loss)
+        assert np.isfinite(loss.item())
+        assert np.isfinite(x.grad).all()
+
 
 def test_desk_step_records_at_most_eighty_nodes():
     # the 32x32, base 8, depth 2, m=4 training step with lfam skips at both levels
@@ -395,6 +406,10 @@ class TestIouAccumulator:
         np.testing.assert_array_equal(predict_labels(Tensor(logits)), 2)
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def tiny_setup(epochs=2, loss=None, n_images=8, seed=0):
     cfg = UNetConfig(in_channels=1, num_classes=2, base_channels=2, depth=1)
     model = build_unet(cfg, seed=seed)
@@ -462,19 +477,36 @@ class TestTrainLoop:
         model, data, cfg = tiny_setup(epochs=2)
         run = train_loop(model, data, cfg, out_dir=tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        params = {name: p.data.copy() for name, p in model.params.items()}
 
         def save_half_then_fail(path, _model):
             Path(path).write_bytes(before["best.ckpt"][:100])
             raise OSError("disk full")
 
         monkeypatch.setattr(lfam.train, "save_checkpoint", save_half_then_fail)
-        run.best_params = {name: a + 1.0 for name, a in run.best_params.items()}
+        for p in model.params.values():  # the writer saves the model as it is
+            p.data += 1.0
         with pytest.raises(OSError, match="disk full"):
             lfam.train._write_run_outputs(tmp_path, model, run)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_model_is_left_at_the_best_epoch(self):
+        model, data, cfg = tiny_setup(epochs=4)
+        run = train_loop(model, data, cfg)
         for name, p in model.params.items():
-            np.testing.assert_array_equal(p.data, params[name])
+            np.testing.assert_array_equal(p.data, run.best_params[name])
+
+    def test_without_validation_the_last_epoch_is_kept(self, tmp_path):
+        model, (train, _), cfg = tiny_setup(epochs=3)
+        final = build_unet(model.config, seed=0)
+        train_loop(final, (train, []), cfg)  # same seeds: same trajectory
+        run = train_loop(model, (train, []), cfg, out_dir=tmp_path)
+        assert run.best_epoch == cfg.epochs - 1
+        restored = load_checkpoint(tmp_path / "best.ckpt", model.config)
+        for name, p in restored.params.items():
+            np.testing.assert_array_equal(p.data, final.params[name].data)
+        summary = json.loads((tmp_path / "summary.json").read_text(),
+                             parse_constant=reject_constant)
+        assert summary["best_epoch"] == 2 and summary["best_val_mean_iou"] is None
 
     def test_best_tracking_prefers_highest_validation_iou(self):
         model, data, cfg = tiny_setup(epochs=4)
