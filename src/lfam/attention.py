@@ -203,7 +203,7 @@ def lfam_attention(encoder: Tensor, decoder: Tensor, params: LfamParams,
     # unpadded windows have only real keys; otherwise the (nw, 1, 1, mm) key
     # mask, viewed as (1, nw, 1, mm), broadcasts over batch and query rows
     mask = grid.key_mask.reshape(1, nw, 1, mm) if pad_h or pad_w else None
-    weights = masked_softmax(logits, mask)
+    weights = masked_softmax(logits, mask, overwrite=True)  # no vjp reads the scores
     gathered = bmm(weights, vm)
 
     fused = window_merge(reshape(gathered, (n * nw, m, m, d)), n, grid.rows * m, grid.cols * m)

@@ -10,6 +10,17 @@ order; backward() replays the nodes once, in reverse, and accumulates
 gradients into every requires_grad tensor not produced on the tape.
 Without an active tape the same functions are plain numpy computations.
 
+Two ops may reuse the buffer they consume.  relu and masked_softmax take
+overwrite=True to write their result into their input's buffer once every
+check has passed; unet's conv blocks pass it for the conv or norm output
+and lfam_attention for the scores.  No vjp reads those inputs (relu's vjp
+masks with its output: out > 0 is a > 0).  In backward, the masked_softmax
+vjp writes the logits' gradient into its incoming gradient, but only when
+the walk owns that flow: the seed, a sum the walk formed, or a fresh array
+(base None) that a vjp returned for exactly one input and that is not the
+vjp's own g.  What add, reshape, permute and sum_axes hand back is g
+itself or a view of it, so it is never owned.
+
 Training code runs in float32; gradient checking must run in float64
 because central differences are unreliable in single precision.
 """
@@ -107,15 +118,21 @@ def _is_scalar(x) -> bool:
 
 
 class _Node:
-    """One recorded operation: output tensor plus a closure producing input grads."""
+    """One recorded operation: output tensor plus a closure producing input grads.
 
-    __slots__ = ("op", "inputs", "out", "vjp")
+    With reuses_g set, vjp(g, True) may write its result into g; plain
+    vjp(g) never mutates g.
+    """
 
-    def __init__(self, op: str, inputs: Sequence[Tensor], out: Tensor, vjp: Callable):
+    __slots__ = ("op", "inputs", "out", "vjp", "reuses_g")
+
+    def __init__(self, op: str, inputs: Sequence[Tensor], out: Tensor, vjp: Callable,
+                 reuses_g: bool = False):
         self.op = op
         self.inputs = tuple(inputs)
         self.out = out
         self.vjp = vjp
+        self.reuses_g = reuses_g
 
 
 class Tape:
@@ -153,13 +170,14 @@ def _active_tape() -> Tape | None:
     return _TAPE_STACK.stack[-1] if _TAPE_STACK.stack else None
 
 
-def _apply(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, vjp: Callable) -> Tensor:
+def _apply(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, vjp: Callable,
+           reuses_g: bool = False) -> Tensor:
     """Wrap a forward result, recording the node if a tape is active."""
     tape = _active_tape()
     track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=track)
     if track:
-        tape.nodes.append(_Node(op, inputs, out, vjp))
+        tape.nodes.append(_Node(op, inputs, out, vjp, reuses_g))
     return out
 
 
@@ -170,23 +188,32 @@ def backward(tape: Tape, loss: Tensor) -> None:
     .grad; outputs of recorded nodes pass their gradient on and keep .grad
     None.  Gradients add to whatever is already in .grad; callers zero
     between steps.  Flow buffers are private to each invocation, so running
-    backward twice over the same tape doubles every gradient exactly.
+    backward twice over the same tape doubles every gradient exactly.  Only
+    a flow this walk owns (module docstring) reaches a reuses_g node as
+    vjp(g, True).
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    # id -> (tensor, gradient flowing into it); every recorded output has
-    # requires_grad, so that flag alone decides which inputs get a flow
-    flows: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones_like(loss.data))}
+    # id -> (tensor, gradient flowing into it, owned); every recorded output
+    # has requires_grad, so that flag alone decides which inputs get a flow
+    flows: dict[int, tuple[Tensor, np.ndarray, bool]] = {
+        id(loss): (loss, np.ones_like(loss.data), True)}
     for node in reversed(tape.nodes):
         entry = flows.pop(id(node.out), None)
         if entry is None:
             continue  # output never reached the loss
-        for t, gi in zip(node.inputs, node.vjp(entry[1])):
+        _, g, owned = entry
+        grads = node.vjp(g, True) if owned and node.reuses_g else node.vjp(g)
+        for t, gi in zip(node.inputs, grads):
             if gi is None or not t.requires_grad:
                 continue
             prev = flows.get(id(t))
-            flows[id(t)] = (t, gi if prev is None else prev[1] + gi)
-    for t, g in flows.values():  # leaves: tensors never produced on this tape
+            if prev is None:
+                own = gi.base is None and gi is not g and sum(x is gi for x in grads) == 1
+                flows[id(t)] = (t, gi, own)
+            else:
+                flows[id(t)] = (t, prev[1] + gi, True)
+    for t, g, _ in flows.values():  # leaves: tensors never produced on this tape
         if t.requires_grad:
             _accumulate(t, g)
 
@@ -276,9 +303,10 @@ def log(a: Tensor) -> Tensor:
     return _apply("log", (a,), np.log(a.data), lambda g: (g / a.data,))
 
 
-def relu(a: Tensor) -> Tensor:
-    return _apply("relu", (a,), np.maximum(a.data, 0),
-                  lambda g: (g * (a.data > 0),))
+def relu(a: Tensor, *, overwrite: bool = False) -> Tensor:
+    """max(a, 0); overwrite=True writes it into a's buffer, which the vjp never reads."""
+    out = np.maximum(a.data, 0, out=a.data if overwrite else None)
+    return _apply("relu", (a,), out, lambda g: (g * (out > 0),))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +436,8 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
 # softmax
 
 
-def _softmax(a: Tensor, axis: int, mask: np.ndarray | None, op: str) -> Tensor:
+def _softmax(a: Tensor, axis: int, mask: np.ndarray | None, op: str,
+             overwrite: bool = False) -> Tensor:
     x = a.data
     # NaN and -inf show in the min, +inf in the max: no full-size bool scan
     row_max = x.max(axis=axis, keepdims=True) if mask is None else None
@@ -416,29 +445,31 @@ def _softmax(a: Tensor, axis: int, mask: np.ndarray | None, op: str) -> Tensor:
     if not (np.isfinite(x.min()) and np.isfinite(hi)):
         raise NumericalError(f"{op}: logits contain non-finite values")
     if mask is None:
-        p = x - row_max
+        p = np.subtract(x, row_max, out=x if overwrite else None)
     else:
         mask = np.asarray(mask, dtype=bool)
         mask = mask.reshape((1,) * (x.ndim - mask.ndim) + mask.shape)
         np.broadcast_to(mask, x.shape)  # raises unless mask broadcasts to the logits
         if not mask.any(axis=axis).all():
             raise DegenerateWindowError(f"{op}: a row has every position masked")
-        p = np.where(mask, x, -np.inf)
+        p = x if overwrite else x.copy()
+        np.copyto(p, -np.inf, where=~mask)
         p -= p.max(axis=axis, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=axis, keepdims=True)
     subs = "abcd"
     row_dot = f"{subs},{subs}->{subs.replace(subs[axis], '')}"
 
-    def vjp(g):
-        gx = g - np.expand_dims(np.einsum(row_dot, g, p), axis)
+    def vjp(g, overwrite=False):
+        gx = np.subtract(g, np.expand_dims(np.einsum(row_dot, g, p), axis),
+                         out=g if overwrite else None)
         gx *= p
         return (gx,)
 
-    return _apply(op, (a,), p, vjp)
+    return _apply(op, (a,), p, vjp, reuses_g=axis == 3)  # only the window softmax
 
 
-def masked_softmax(logits: Tensor, mask: np.ndarray | None) -> Tensor:
+def masked_softmax(logits: Tensor, mask: np.ndarray | None, *, overwrite: bool = False) -> Tensor:
     """Softmax over the last axis; masked positions output exactly 0.
 
     mask is a boolean array broadcastable to logits, True marking real
@@ -446,8 +477,11 @@ def masked_softmax(logits: Tensor, mask: np.ndarray | None) -> Tensor:
     to -inf before the row max is subtracted, so exp gives them exactly 0
     and they add nothing to the row sum.  Unmasked outputs sum to 1 per
     row; a fully masked row is a degenerate window and raises.
+
+    overwrite=True writes the result into the logits' buffer once every
+    check has passed; no vjp reads the logits.
     """
-    return _softmax(logits, 3, mask, "masked_softmax")
+    return _softmax(logits, 3, mask, "masked_softmax", overwrite)
 
 
 def softmax(logits: Tensor) -> Tensor:

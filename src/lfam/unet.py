@@ -205,7 +205,7 @@ def forward(model: ModelState, x: Tensor, lfam_fn=None) -> Tensor:
             t = conv2d(t, model.layers[f"{prefix}.conv{j}"])
             if cfg.channel_norm:
                 t = channel_norm(t, model.layers[f"{prefix}.norm{j}"])
-            t = relu(t)
+            t = relu(t, overwrite=True)  # no vjp reads the conv or norm output
         return t
 
     skips: list[Tensor] = []

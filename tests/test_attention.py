@@ -1,5 +1,7 @@
 """Windowed fusion against per-window and global references, plus locality."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from lfam.attention import (
 )
 from lfam.errors import ConfigError, ScaleGuardError, ShapeError
 from lfam.rng import make_rng
-from lfam.tensor import Tape, Tensor, grad_check, pow_const, sum_all
+from lfam.tensor import Tape, Tensor, backward, grad_check, pow_const, sum_all
 
 
 def random_pair(rng, n=1, c=3, h=8, w=8, dtype=np.float64):
@@ -245,6 +247,53 @@ class TestTapeSize:
         with Tape() as tape:
             lfam_forward(enc, dec, init_lfam_params(4, rng), LfamConfig(local_range=4))
         assert len(tape.nodes) == 16
+
+
+class TestBufferReuse:
+    @pytest.mark.parametrize("h", [8, 7])  # unpadded and padded windows
+    def test_softmax_writes_into_the_score_buffer(self, h):
+        rng = make_rng(37)
+        enc, dec = random_pair(rng, c=4, h=h, w=h, dtype=np.float32)
+        with Tape() as tape:
+            lfam_forward(enc, dec, init_lfam_params(4, rng), LfamConfig(local_range=4))
+        (softmax,) = [node for node in tape.nodes if node.op == "masked_softmax"]
+        (scores,) = [node for node in tape.nodes if node.out is softmax.inputs[0]]
+        assert scores.op == "bmm"
+        assert np.shares_memory(scores.out.data, softmax.out.data)
+
+    @pytest.mark.parametrize("h", [8, 7])
+    def test_second_backward_doubles_every_gradient_exactly(self, h):
+        rng = make_rng(38)
+        enc, dec = random_pair(rng, c=4, h=h, w=h, dtype=np.float32)
+        enc.requires_grad = dec.requires_grad = True
+        params = init_lfam_params(4, rng)
+        with Tape() as tape:
+            loss = sum_all(pow_const(lfam_forward(enc, dec, params, LfamConfig(local_range=4)), 2.0))
+        leaves = (enc, dec) + params.tensors()
+        backward(tape, loss)
+        once = [t.grad.copy() for t in leaves]
+        backward(tape, loss)
+        for t, g in zip(leaves, once):
+            np.testing.assert_array_equal(t.grad, 2 * g)
+
+    def test_wide16_fusion_step_peaks_under_three_score_buffers(self):
+        # one level-0 wide16 call: scores and probabilities are (2, 16, 256, 256)
+        # float32, 8 MiB each; keeping both alive and a fresh softmax gradient
+        # peaked at 4.4 of them
+        rng = make_rng(39)
+        enc, dec = random_pair(rng, n=2, c=8, h=64, w=64, dtype=np.float32)
+        enc.requires_grad = dec.requires_grad = True
+        params = init_lfam_params(8, rng)
+        score_bytes = 2 * 16 * 256 * 256 * 4
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = sum_all(lfam_forward(enc, dec, params, LfamConfig(local_range=16)))
+            backward(tape, loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * score_bytes
 
 
 class TestOracleGuard:

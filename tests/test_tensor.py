@@ -10,6 +10,7 @@ from lfam.rng import make_rng
 from lfam.tensor import (
     Tape,
     Tensor,
+    _apply,
     add,
     affine,
     backward,
@@ -258,6 +259,137 @@ class TestSoftmax:
         p = masked_softmax(x, None)
         assert np.isfinite(p.data).all()
         np.testing.assert_allclose(p.data.ravel(), [1.0, 0.0, 0.0], atol=1e-6)
+
+
+class TestOverwrite:
+    """overwrite=True reuses the input's buffer and changes no value."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["padded", "all_true", None])
+    def test_softmax_overwrite_is_bitwise_default_in_the_input_buffer(self, dtype, kind):
+        x = (4.0 * make_rng(14).standard_normal((2, 3, 16, 16))).astype(dtype)
+        want = masked_softmax(Tensor(x.copy()), _window_mask(kind)).data
+        logits = Tensor(x.copy())
+        got = masked_softmax(logits, _window_mask(kind), overwrite=True).data
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == dtype and np.shares_memory(got, logits.data)
+
+    @pytest.mark.parametrize("kind", ["padded", "all_true", None])
+    def test_softmax_default_leaves_the_input_untouched(self, kind):
+        x = make_rng(15).standard_normal((2, 3, 16, 16)).astype(np.float32)
+        logits = Tensor(x.copy())
+        p = masked_softmax(logits, _window_mask(kind))
+        np.testing.assert_array_equal(logits.data, x)
+        assert not np.shares_memory(p.data, logits.data)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["padded", None])
+    def test_softmax_rejects_non_finite_logits_before_writing(self, bad, kind):
+        x = make_rng(16).standard_normal((2, 3, 16, 16)).astype(np.float32)
+        x[1, 1, 5, 13] = bad  # a masked key when padded
+        logits = Tensor(x.copy())
+        with pytest.raises(NumericalError):
+            masked_softmax(logits, _window_mask(kind), overwrite=True)
+        np.testing.assert_array_equal(logits.data, x)
+
+    def test_softmax_rejects_a_degenerate_row_before_writing(self):
+        x = make_rng(17).standard_normal((1, 1, 2, 3))
+        mask = np.ones((1, 1, 2, 3), dtype=bool)
+        mask[0, 0, 1] = False
+        logits = Tensor(x.copy())
+        with pytest.raises(DegenerateWindowError):
+            masked_softmax(logits, mask, overwrite=True)
+        np.testing.assert_array_equal(logits.data, x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_overwrite_is_bitwise_default_in_the_input_buffer(self, dtype):
+        x = make_rng(18).standard_normal((2, 3, 5, 5)).astype(dtype)
+        a = Tensor(x.copy())
+        want = relu(Tensor(x.copy())).data
+        got = relu(a, overwrite=True).data
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == dtype and np.shares_memory(got, a.data)
+
+    def test_relu_default_leaves_the_input_untouched(self):
+        x = make_rng(19).standard_normal((2, 3, 5, 5)).astype(np.float32)
+        a = Tensor(x.copy())
+        relu(a)
+        np.testing.assert_array_equal(a.data, x)
+
+    def test_relu_gradient_reads_only_the_output(self):
+        x = Tensor(make_rng(20).standard_normal((2, 3, 5, 5)), requires_grad=True, dtype=np.float64)
+        with Tape() as tape:
+            loss = sum_all(relu(affine(x, 1.0), overwrite=True))
+        backward(tape, loss)
+        np.testing.assert_array_equal(x.grad, (x.data > 0).astype(np.float64))
+
+
+class TestOwnedFlows:
+    """backward lets the softmax vjp write only into a flow no one else sees."""
+
+    @staticmethod
+    def _softmax_into_add(view):
+        # y feeds an op recorded before the softmax, so its flow still holds
+        # the add's g (or the array a view of g belongs to) when the softmax
+        # vjp runs; a vjp writing into g would corrupt y.grad
+        rng = make_rng(21)
+        x = Tensor(rng.standard_normal((1, 2, 3, 4)), requires_grad=True, dtype=np.float64)
+        y = Tensor(rng.standard_normal((1, 2, 4, 3) if view == "permute" else (1, 2, 3, 4)),
+                   requires_grad=True, dtype=np.float64)
+        r = Tensor(rng.standard_normal(y.shape), dtype=np.float64)
+        with Tape() as tape:
+            z = affine(y, 3.0)
+            w = masked_softmax(affine(x, 1.0), None, overwrite=True)
+            if view == "permute":
+                w = permute(w, (0, 1, 3, 2))
+            elif view == "reshape":
+                w = reshape(w, y.shape)
+            loss = add(sum_all(mul(add(w, y), r)), sum_all(z))
+        backward(tape, loss)
+        p = masked_softmax(Tensor(x.data), None).data
+        gp = r.data.transpose(0, 1, 3, 2) if view == "permute" else r.data
+        return x, y, r, p * (gp - (gp * p).sum(axis=3, keepdims=True))
+
+    @pytest.mark.parametrize("view", [None, "reshape", "permute"])
+    def test_softmax_gradient_shared_with_an_add(self, view):
+        x, y, r, gx = self._softmax_into_add(view)
+        np.testing.assert_array_equal(y.grad, r.data + 3.0)
+        np.testing.assert_allclose(x.grad, gx, rtol=1e-12, atol=1e-15)
+
+    def test_one_fresh_array_returned_for_two_inputs_is_not_owned(self):
+        rng = make_rng(23)
+        x1, x2 = (Tensor(rng.standard_normal((1, 1, 3, 4)), requires_grad=True, dtype=np.float64)
+                  for _ in range(2))
+        r = Tensor(rng.standard_normal((1, 1, 3, 4)), dtype=np.float64)
+
+        def both(g):
+            shared = g * 1.0  # fresh, but handed to both inputs
+            return (shared, shared)
+
+        with Tape() as tape:
+            w1 = masked_softmax(affine(x1, 1.0), None, overwrite=True)
+            w2 = masked_softmax(affine(x2, 1.0), None, overwrite=True)
+            loss = sum_all(mul(_apply("pair", (w1, w2), w1.data + w2.data, both), r))
+        backward(tape, loss)
+        for x in (x1, x2):
+            p = masked_softmax(Tensor(x.data), None).data
+            want = p * (r.data - (r.data * p).sum(axis=3, keepdims=True))
+            np.testing.assert_allclose(x.grad, want, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["padded", None])
+    def test_direct_vjp_call_leaves_g_unchanged(self, kind):
+        rng = make_rng(22)
+        x = Tensor(rng.standard_normal((2, 3, 16, 16)), requires_grad=True, dtype=np.float64)
+        g = rng.standard_normal(x.shape)
+        with Tape() as tape:
+            masked_softmax(affine(x, 1.0), _window_mask(kind), overwrite=True)
+        node = tape.nodes[-1]
+        g0 = g.copy()
+        (gx,) = node.vjp(g)
+        np.testing.assert_array_equal(g, g0)
+        (gx_in_place,) = node.vjp(g, True)
+        assert gx_in_place is g
+        np.testing.assert_array_equal(gx_in_place, gx)
 
 
 class TestBackward:

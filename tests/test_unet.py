@@ -112,6 +112,19 @@ class TestForward:
         x = Tensor(make_rng(3).standard_normal((1, 1, 8, 8)).astype(np.float32))
         np.testing.assert_array_equal(forward(model, x).data, 0.0)
 
+    @pytest.mark.parametrize("norm", [False, True])
+    def test_relu_writes_into_the_conv_or_norm_output(self, norm):
+        model = build_unet(small_cfg("lfam", channel_norm=norm), seed=8)
+        x = Tensor(make_rng(9).standard_normal((1, 1, 16, 16)).astype(np.float32))
+        with Tape() as tape:
+            forward(model, x)
+        made = {id(node.out): node.op for node in tape.nodes}
+        relus = [node for node in tape.nodes if node.op == "relu"]
+        assert len(relus) == 10  # 2 per block: 2 encoder, bottleneck, 2 decoder
+        for node in relus:
+            assert made[id(node.inputs[0])] == ("add" if norm else "conv2d")
+            assert np.shares_memory(node.out.data, node.inputs[0].data)
+
     def test_forward_deterministic(self):
         x = Tensor(make_rng(4).standard_normal((1, 1, 16, 16)).astype(np.float32))
         a = forward(build_unet(small_cfg("lfam"), seed=5), x)
