@@ -25,6 +25,8 @@ from .errors import ConfigError, ScaleGuardError, ShapeError
 from .ops import ConvParams, conv2d, he_conv
 from .tensor import (
     Tensor,
+    _apply,
+    _softmax_grad,
     add,
     bmm,
     crop_top_left,
@@ -174,6 +176,33 @@ def _validate_pair(encoder: Tensor, decoder: Tensor, params: LfamParams, cfg: Lf
                           f"got {params.proj_channels} vs {c}")
 
 
+def _window_core(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None,
+                 scale: float | None) -> tuple[Tensor, np.ndarray]:
+    """softmax(q kᵀ * scale) v over (n, N, m*m, d) window rows, as one tape node.
+
+    Returns the gathered rows and P.  The forward calls this module's bmm,
+    permute and masked_softmax on untracked views, which perfbench's tracer
+    times.  The vjp writes dS into dP = g vᵀ, a buffer it formed itself,
+    and frees it before forming dv = Pᵀ g.
+    """
+    scores = bmm(Tensor(q.data), permute(Tensor(k.data), (0, 1, 3, 2)))
+    if scale is not None:
+        scores.data *= scale
+    p = masked_softmax(scores, mask, overwrite=True).data  # no vjp reads the scores
+    out = bmm(Tensor(p), Tensor(v.data)).data
+
+    def vjp(g):
+        ds = _softmax_grad(g @ v.data.swapaxes(-1, -2), p, 3, overwrite=True)
+        if scale is not None:
+            ds *= scale
+        dq = ds @ k.data
+        dk = (q.data.swapaxes(-1, -2) @ ds).transpose(0, 1, 3, 2)
+        del ds
+        return dq, dk, p.swapaxes(-1, -2) @ g
+
+    return _apply("window_attention", (q, k, v), out, vjp), p
+
+
 def lfam_attention(encoder: Tensor, decoder: Tensor, params: LfamParams,
                    cfg: LfamConfig) -> tuple[Tensor, AttentionWeights]:
     """Fused map plus the attention weights that produced it."""
@@ -196,15 +225,11 @@ def lfam_attention(encoder: Tensor, decoder: Tensor, params: LfamParams,
             t = pad_bottom_right(t, pad_h, pad_w)
         return reshape(window_split(t, m), (n, nw, mm, d))  # a view of the tiles
 
-    qm, km, vm = rows_of(q), rows_of(k), rows_of(v)
-    logits = bmm(qm, permute(km, (0, 1, 3, 2)))
-    if cfg.scale_logits:
-        logits = logits * (1.0 / np.sqrt(d))
     # unpadded windows have only real keys; otherwise the (nw, 1, 1, mm) key
     # mask, viewed as (1, nw, 1, mm), broadcasts over batch and query rows
     mask = grid.key_mask.reshape(1, nw, 1, mm) if pad_h or pad_w else None
-    weights = masked_softmax(logits, mask, overwrite=True)  # no vjp reads the scores
-    gathered = bmm(weights, vm)
+    scale = float(1.0 / np.sqrt(d)) if cfg.scale_logits else None  # keeps float32 data float32
+    gathered, weights = _window_core(rows_of(q), rows_of(k), rows_of(v), mask, scale)
 
     fused = window_merge(reshape(gathered, (n * nw, m, m, d)), n, grid.rows * m, grid.cols * m)
     if pad_h or pad_w:
@@ -215,8 +240,7 @@ def lfam_attention(encoder: Tensor, decoder: Tensor, params: LfamParams,
     elif cfg.residual_source is ResidualSource.DECODER:
         fused = add(fused, decoder)
 
-    attn = AttentionWeights(grid, weights.data)
-    return fused, attn
+    return fused, AttentionWeights(grid, weights)
 
 
 def lfam_forward(encoder: Tensor, decoder: Tensor, params: LfamParams, cfg: LfamConfig) -> Tensor:

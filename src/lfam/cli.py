@@ -230,7 +230,12 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
 
 
 def parse_config(path) -> RunConfig:
-    return parse_config_text(Path(path).read_text(), origin=str(path))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # main reports an OSError as a file error
+        raise OSError(f"config file {path} is not UTF-8 text: "
+                      f"{exc.reason} at byte {exc.start}") from None
+    return parse_config_text(text, origin=str(path))
 
 
 def emit_config(cfg: RunConfig) -> str:

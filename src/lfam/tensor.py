@@ -13,13 +13,11 @@ Without an active tape the same functions are plain numpy computations.
 Two ops may reuse the buffer they consume.  relu and masked_softmax take
 overwrite=True to write their result into their input's buffer once every
 check has passed; unet's conv blocks pass it for the conv or norm output
-and lfam_attention for the scores.  No vjp reads those inputs (relu's vjp
-masks with its output: out > 0 is a > 0).  In backward, the masked_softmax
-vjp writes the logits' gradient into its incoming gradient, but only when
-the walk owns that flow: the seed, a sum the walk formed, or a fresh array
-(base None) that a vjp returned for exactly one input and that is not the
-vjp's own g.  What add, reshape, permute and sum_axes hand back is g
-itself or a view of it, so it is never owned.
+and the window-attention core for its scores.  No vjp reads those inputs
+(relu's vjp masks with its output: out > 0 is a > 0).  No vjp writes into
+the gradient it is handed; the one in-place gradient write is inside the
+window-attention core's vjp (attention._window_core), which turns the
+probabilities' gradient into the scores' gradient in the buffer it formed.
 
 Training code runs in float32; gradient checking must run in float64
 because central differences are unreliable in single precision.
@@ -27,6 +25,7 @@ because central differences are unreliable in single precision.
 
 from __future__ import annotations
 
+import math
 import struct
 import threading
 from typing import Callable, Sequence
@@ -120,19 +119,16 @@ def _is_scalar(x) -> bool:
 class _Node:
     """One recorded operation: output tensor plus a closure producing input grads.
 
-    With reuses_g set, vjp(g, True) may write its result into g; plain
-    vjp(g) never mutates g.
+    vjp(g) returns one gradient (or None) per input and never mutates g.
     """
 
-    __slots__ = ("op", "inputs", "out", "vjp", "reuses_g")
+    __slots__ = ("op", "inputs", "out", "vjp")
 
-    def __init__(self, op: str, inputs: Sequence[Tensor], out: Tensor, vjp: Callable,
-                 reuses_g: bool = False):
+    def __init__(self, op: str, inputs: Sequence[Tensor], out: Tensor, vjp: Callable):
         self.op = op
         self.inputs = tuple(inputs)
         self.out = out
         self.vjp = vjp
-        self.reuses_g = reuses_g
 
 
 class Tape:
@@ -170,14 +166,13 @@ def _active_tape() -> Tape | None:
     return _TAPE_STACK.stack[-1] if _TAPE_STACK.stack else None
 
 
-def _apply(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, vjp: Callable,
-           reuses_g: bool = False) -> Tensor:
+def _apply(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, vjp: Callable) -> Tensor:
     """Wrap a forward result, recording the node if a tape is active."""
     tape = _active_tape()
     track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=track)
     if track:
-        tape.nodes.append(_Node(op, inputs, out, vjp, reuses_g))
+        tape.nodes.append(_Node(op, inputs, out, vjp))
     return out
 
 
@@ -187,33 +182,24 @@ def backward(tape: Tape, loss: Tensor) -> None:
     Only leaves, the requires_grad tensors not produced on this tape, receive
     .grad; outputs of recorded nodes pass their gradient on and keep .grad
     None.  Gradients add to whatever is already in .grad; callers zero
-    between steps.  Flow buffers are private to each invocation, so running
-    backward twice over the same tape doubles every gradient exactly.  Only
-    a flow this walk owns (module docstring) reaches a reuses_g node as
-    vjp(g, True).
+    between steps.  No vjp writes into the gradient it is handed, so running
+    backward twice over the same tape doubles every gradient exactly.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    # id -> (tensor, gradient flowing into it, owned); every recorded output
-    # has requires_grad, so that flag alone decides which inputs get a flow
-    flows: dict[int, tuple[Tensor, np.ndarray, bool]] = {
-        id(loss): (loss, np.ones_like(loss.data), True)}
+    # id -> (tensor, gradient flowing into it); every recorded output has
+    # requires_grad, so that flag alone decides which inputs get a flow
+    flows: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones_like(loss.data))}
     for node in reversed(tape.nodes):
         entry = flows.pop(id(node.out), None)
         if entry is None:
             continue  # output never reached the loss
-        _, g, owned = entry
-        grads = node.vjp(g, True) if owned and node.reuses_g else node.vjp(g)
-        for t, gi in zip(node.inputs, grads):
+        for t, gi in zip(node.inputs, node.vjp(entry[1])):
             if gi is None or not t.requires_grad:
                 continue
             prev = flows.get(id(t))
-            if prev is None:
-                own = gi.base is None and gi is not g and sum(x is gi for x in grads) == 1
-                flows[id(t)] = (t, gi, own)
-            else:
-                flows[id(t)] = (t, prev[1] + gi, True)
-    for t, g, _ in flows.values():  # leaves: tensors never produced on this tape
+            flows[id(t)] = (t, gi if prev is None else prev[1] + gi)
+    for t, g in flows.values():  # leaves: tensors never produced on this tape
         if t.requires_grad:
             _accumulate(t, g)
 
@@ -457,16 +443,17 @@ def _softmax(a: Tensor, axis: int, mask: np.ndarray | None, op: str,
         p -= p.max(axis=axis, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=axis, keepdims=True)
+    return _apply(op, (a,), p, lambda g: (_softmax_grad(g, p, axis),))
+
+
+def _softmax_grad(g: np.ndarray, p: np.ndarray, axis: int, overwrite: bool = False) -> np.ndarray:
+    """Logits' gradient of a softmax p over axis; overwrite=True writes it into g."""
     subs = "abcd"
     row_dot = f"{subs},{subs}->{subs.replace(subs[axis], '')}"
-
-    def vjp(g, overwrite=False):
-        gx = np.subtract(g, np.expand_dims(np.einsum(row_dot, g, p), axis),
-                         out=g if overwrite else None)
-        gx *= p
-        return (gx,)
-
-    return _apply(op, (a,), p, vjp, reuses_g=axis == 3)  # only the window softmax
+    gx = np.subtract(g, np.expand_dims(np.einsum(row_dot, g, p), axis),
+                     out=g if overwrite else None)
+    gx *= p
+    return gx
 
 
 def masked_softmax(logits: Tensor, mask: np.ndarray | None, *, overwrite: bool = False) -> Tensor:
@@ -546,7 +533,7 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
     if buf[offset:offset + 4] != _MAGIC:
         raise ContractError("tensor record: bad magic bytes")
     dims = struct.unpack_from("<4I", buf, offset + 4)
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # a Python int: np.prod wraps at 2**64
     start = offset + 20
     end = start + 4 * count
     if end > len(buf):

@@ -263,6 +263,7 @@ def count_flops_and_params(model: ModelState, input_size: int) -> tuple[int, int
 
 _CKPT_MAGIC = b"LFCK"
 _CKPT_VERSION = 1
+_CKPT_HEADER = 44  # magic, version, digest, record count
 
 
 def save_checkpoint(path, model: ModelState) -> None:
@@ -287,6 +288,9 @@ def load_checkpoint(path, cfg: UNetConfig) -> ModelState:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if buf[:4] != _CKPT_MAGIC:
         raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
+    if len(buf) < _CKPT_HEADER:
+        raise CheckpointError(f"truncated checkpoint {path}: {len(buf)} bytes, "
+                              f"shorter than the {_CKPT_HEADER}-byte header")
     (version,) = struct.unpack_from("<I", buf, 4)
     if version != _CKPT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
@@ -298,7 +302,7 @@ def load_checkpoint(path, cfg: UNetConfig) -> ModelState:
     (count,) = struct.unpack_from("<I", buf, 40)
 
     model = build_unet(cfg, seed=0)
-    offset = 44
+    offset = _CKPT_HEADER
     arrays = {}
     try:
         for _ in range(count):

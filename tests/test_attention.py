@@ -13,6 +13,7 @@ from lfam.attention import (
     LfamParams,
     ResidualSource,
     _project_pixels,
+    _window_core,
     global_attention_oracle,
     init_lfam_params,
     lfam_attention,
@@ -22,7 +23,19 @@ from lfam.attention import (
 )
 from lfam.errors import ConfigError, ScaleGuardError, ShapeError
 from lfam.rng import make_rng
-from lfam.tensor import Tape, Tensor, backward, grad_check, pow_const, sum_all
+from lfam.tensor import (
+    Tape,
+    Tensor,
+    affine,
+    backward,
+    bmm,
+    grad_check,
+    masked_softmax,
+    mul,
+    permute,
+    pow_const,
+    sum_all,
+)
 
 
 def random_pair(rng, n=1, c=3, h=8, w=8, dtype=np.float64):
@@ -239,27 +252,85 @@ class TestResidualAndShape:
 
 
 class TestTapeSize:
-    def test_unpadded_call_records_sixteen_nodes(self):
-        # 3 projections, 3 x (split, view), key transpose, 2 bmm, softmax,
-        # view, merge, residual add
+    def test_unpadded_call_records_thirteen_nodes(self):
+        # 3 projections, 3 x (split, view), window core, view, merge,
+        # residual add
         rng = make_rng(36)
         enc, dec = random_pair(rng, c=4, h=8, w=8, dtype=np.float32)
         with Tape() as tape:
             lfam_forward(enc, dec, init_lfam_params(4, rng), LfamConfig(local_range=4))
-        assert len(tape.nodes) == 16
+        assert len(tape.nodes) == 13
+
+
+class TestWindowCore:
+    """_window_core is one tape node with the values and gradients of the taped chain."""
+
+    @staticmethod
+    def _rows(seed, dtype, padded):
+        rng = make_rng(seed)
+        grid = window_partition(7, 7, 4) if padded else window_partition(8, 8, 4)
+        nw = grid.n_windows
+        q, k, v = (Tensor(rng.standard_normal((2, nw, 16, 3)), requires_grad=True, dtype=dtype)
+                   for _ in range(3))
+        mask = grid.key_mask.reshape(1, nw, 1, 16) if padded else None
+        return rng, q, k, v, mask
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("padded", [False, True])
+    @pytest.mark.parametrize("scale_logits", [False, True])
+    def test_matches_the_taped_chain_bitwise(self, dtype, padded, scale_logits):
+        rng, q, k, v, mask = self._rows(41, dtype, padded)
+        r = Tensor(rng.standard_normal(q.shape), dtype=dtype)
+        scale = float(1.0 / np.sqrt(3)) if scale_logits else None
+        with Tape() as tape:
+            out, p = _window_core(q, k, v, mask, scale)
+            loss = sum_all(mul(out, r))
+        assert [node.op for node in tape.nodes[:1]] == ["window_attention"]
+        backward(tape, loss)
+
+        q2, k2, v2 = (Tensor(t.data.copy(), requires_grad=True) for t in (q, k, v))
+        with Tape() as tape:
+            scores = bmm(q2, permute(k2, (0, 1, 3, 2)))
+            if scale is not None:
+                scores = affine(scores, scale)
+            weights = masked_softmax(scores, mask)
+            want = bmm(weights, v2)
+            loss = sum_all(mul(want, r))
+        backward(tape, loss)
+
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out.data, want.data)
+        np.testing.assert_array_equal(p, weights.data)
+        for got, ref in ((q, q2), (k, k2), (v, v2)):
+            np.testing.assert_array_equal(got.grad, ref.grad)
+
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_vjp_leaves_g_unchanged(self, padded):
+        rng, q, k, v, mask = self._rows(42, np.float64, padded)
+        with Tape() as tape:
+            out, _ = _window_core(q, k, v, mask, 0.5)
+        (node,) = tape.nodes
+        g = rng.standard_normal(out.shape)
+        g0 = g.copy()
+        node.vjp(g)
+        np.testing.assert_array_equal(g, g0)
 
 
 class TestBufferReuse:
-    @pytest.mark.parametrize("h", [8, 7])  # unpadded and padded windows
-    def test_softmax_writes_into_the_score_buffer(self, h):
+    def test_no_tape_forward_holds_one_score_buffer(self):
+        # one level-0 wide16 call: the scores are (2, 16, 256, 256) float32,
+        # 8 MiB; a softmax that did not write into them would hold two
         rng = make_rng(37)
-        enc, dec = random_pair(rng, c=4, h=h, w=h, dtype=np.float32)
-        with Tape() as tape:
-            lfam_forward(enc, dec, init_lfam_params(4, rng), LfamConfig(local_range=4))
-        (softmax,) = [node for node in tape.nodes if node.op == "masked_softmax"]
-        (scores,) = [node for node in tape.nodes if node.out is softmax.inputs[0]]
-        assert scores.op == "bmm"
-        assert np.shares_memory(scores.out.data, softmax.out.data)
+        enc, dec = random_pair(rng, n=2, c=8, h=64, w=64, dtype=np.float32)
+        params = init_lfam_params(8, rng)
+        score_bytes = 2 * 16 * 256 * 256 * 4
+        tracemalloc.start()
+        try:
+            lfam_forward(enc, dec, params, LfamConfig(local_range=16))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * score_bytes
 
     @pytest.mark.parametrize("h", [8, 7])
     def test_second_backward_doubles_every_gradient_exactly(self, h):

@@ -3,15 +3,22 @@
 perfbench/tracer.py swaps the names that lfam.unet and lfam.attention
 imported for timing wrappers and passes a timing `lfam_fn` into
 `unet.forward`.  A rename in lfam would only show when a traced benchmark
-run dies with AttributeError; these checks catch it in the unit tests.
+run dies with AttributeError, and an attention op the wrappers no longer
+see would only show as wrong per-layer numbers; these checks catch both
+in the unit tests.
 """
 
 import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import lfam.attention
 import lfam.unet
+from lfam.attention import LfamConfig
+from lfam.tensor import Tape, Tensor, backward, sum_all
+from lfam.unet import SkipSpec, UNetConfig, build_unet, forward
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -33,3 +40,27 @@ def test_every_wrapped_name_is_a_callable_of_its_module():
 
 def test_forward_takes_lfam_fn():
     assert "lfam_fn" in inspect.signature(lfam.unet.forward).parameters
+
+
+def test_traced_unit_times_the_attention_core_under_attention_names():
+    # bench.py divides attention.gflops by the bmm and softmax forward time,
+    # and charges a fusion call's backward nodes by their tape index
+    tracer = load_tracer().Tracer()
+    lf = LfamConfig(local_range=4)
+    model = build_unet(UNetConfig(base_channels=4, depth=2,
+                                  skips=(SkipSpec(kind="lfam", lfam=lf),) * 2), seed=0)
+    x = Tensor(np.random.default_rng(0).random((2, 1, 16, 16)).astype(np.float32))
+    with tracer.unit(0):
+        with Tape() as tape:
+            tracer.tape = tape
+            loss = sum_all(forward(model, x, lfam_fn=tracer.lfam_fn))
+        tracer.tape = None
+        tracer.wrap_vjps(tape)
+        backward(tape, loss)
+    names = {span[0] for span in tracer.spans}
+    assert {"attention.bmm.fwd", "attention.softmax.fwd"} <= names
+    cores = [i for i, node in enumerate(tape.nodes) if node.op == "window_attention"]
+    assert len(cores) == 2
+    assert all(tracer._backward_name(i, "window_attention").startswith("attention.")
+               for i in cores)
+    assert "tensor.window_attention.bwd" not in names

@@ -227,6 +227,13 @@ class TestSubcommands:
         cfg = write_cfg(tmp_path, SMALL_TRAIN + "eval.checkpoint=/nonexistent.ckpt\n")
         assert main(["eval", "--config", cfg, "--out", str(tmp_path / "e")]) == EXIT_FILE
 
+    def test_eval_truncated_checkpoint_header_is_file_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "short.ckpt"
+        ckpt.write_bytes(b"LFCK\x01")
+        cfg = write_cfg(tmp_path, SMALL_TRAIN + f"eval.checkpoint={ckpt}\n")
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "e")]) == EXIT_FILE
+        assert f"truncated checkpoint {ckpt}" in capsys.readouterr().err
+
     def test_gen_data_writes_dataset(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_TRAIN + f"data.root={tmp_path / 'ds'}\n")
         assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
@@ -389,6 +396,14 @@ class TestSubcommands:
     def test_missing_config_file_is_file_error(self, tmp_path):
         assert main(["cost", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "c")]) == EXIT_FILE
+
+    def test_non_utf8_config_file_is_file_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"run.seed=\xff\n")
+        assert main(["cost", "--config", str(cfg), "--out", str(tmp_path / "c")]) == EXIT_FILE
+        err = capsys.readouterr().err
+        assert f"file error: config file {cfg} is not UTF-8 text" in err
+        assert "Traceback" not in err
 
     def test_bad_config_value_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, "lfam.local_range=0\n")

@@ -1,5 +1,7 @@
 """Tensor construction, tape replay, primitive gradients, serialization."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -325,7 +327,7 @@ class TestOverwrite:
 
 
 class TestOwnedFlows:
-    """backward lets the softmax vjp write only into a flow no one else sees."""
+    """A softmax gradient whose flow aliases another's stays exact for both."""
 
     @staticmethod
     def _softmax_into_add(view):
@@ -385,11 +387,8 @@ class TestOwnedFlows:
             masked_softmax(affine(x, 1.0), _window_mask(kind), overwrite=True)
         node = tape.nodes[-1]
         g0 = g.copy()
-        (gx,) = node.vjp(g)
+        node.vjp(g)
         np.testing.assert_array_equal(g, g0)
-        (gx_in_place,) = node.vjp(g, True)
-        assert gx_in_place is g
-        np.testing.assert_array_equal(gx_in_place, gx)
 
 
 class TestBackward:
@@ -590,3 +589,8 @@ class TestSerialization:
         buf = tensor_to_bytes(t)
         with pytest.raises(ContractError):
             tensor_from_bytes(buf[:-4])
+
+    def test_element_count_past_int64_is_truncated_not_empty(self):
+        # 65536**4 == 2**64: a wrapping int64 count would read 0 elements
+        with pytest.raises(ContractError, match="truncated"):
+            tensor_from_bytes(b"LFT1" + struct.pack("<4I", *(65536,) * 4))

@@ -1,5 +1,7 @@
 """Network assembly, forward shapes, flop counting, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,24 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(CheckpointError):
+            load_checkpoint(path, small_cfg())
+
+    def test_file_shorter_than_the_header_rejected(self, tmp_path):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(b"LFCK\x01")
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path, small_cfg())
+
+    def test_record_whose_element_count_overflows_int64_rejected(self, tmp_path):
+        # 65536**4 is 2**64, which np.prod wraps to 0 elements
+        path = tmp_path / "model.ckpt"
+        model = build_unet(small_cfg(), seed=0)
+        save_checkpoint(path, model)
+        data = bytearray(path.read_bytes())
+        dims_at = 44 + 2 + len(next(iter(model.params)).encode()) + 4
+        data[dims_at:dims_at + 16] = struct.pack("<4I", *(65536,) * 4)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path, small_cfg())
 
     def test_garbage_file_rejected(self, tmp_path):
