@@ -298,9 +298,11 @@ def _load_images(cfg: RunConfig):
         raise ConfigError(f"data.size must be a multiple of 2**unet.depth = {factor}, "
                           f"got {cfg.image_size}")
     if cfg.data_root:
-        # tiles need images at least a tile wide; untiled images must fit the network
+        # tiles need images at least a tile wide; untiled images must fit the
+        # network and share one size, as batches stack them
         images = load_dataset(cfg.data_root, cfg.num_classes,
-                              side_multiple=1 if cfg.tile else factor, min_side=max(cfg.tile, 1))
+                              side_multiple=1 if cfg.tile else factor, min_side=max(cfg.tile, 1),
+                              same_size=not cfg.tile)
     else:
         images = gen_synthetic(cfg.n_images, cfg.image_size, cfg.num_classes,
                                cfg.rare_class_frac, seed=cfg.seed)

@@ -283,16 +283,17 @@ def save_dataset(root, images: list[LabeledImage]) -> None:
         write_pgm(root / "masks" / f"{i:04d}.pgm", sample.mask.astype(np.uint8))
 
 
-def load_dataset(root, num_classes: int | None = None, *,
-                 side_multiple: int = 1, min_side: int = 1) -> list[LabeledImage]:
+def load_dataset(root, num_classes: int | None = None, *, side_multiple: int = 1,
+                 min_side: int = 1, same_size: bool = False) -> list[LabeledImage]:
     """Read a save_dataset directory back.
 
     Every image needs a mask of the same name and the reverse; given
     num_classes, every mask label must be below it.  Both sides of every
     image must be multiples of side_multiple and at least min_side (the
     network's 2**depth and the tile size, which a config cannot check
-    before the files are read).  A file that breaks a rule raises
-    DatasetError naming it.
+    before the files are read).  With same_size, every image must have the
+    first image's size, as untiled images are batched together.  A file
+    that breaks a rule raises DatasetError naming it.
     """
     root = Path(root)
     image_paths = sorted((root / "images").glob("*.pgm"))
@@ -317,5 +318,9 @@ def load_dataset(root, num_classes: int | None = None, *,
                                f"of {side_multiple}")
         if min(h, w) < min_side:
             raise DatasetError(f"{ip}: image {h}x{w} has a side below {min_side}")
+        if same_size and out and (h, w) != out[0].mask.shape:
+            fh, fw = out[0].mask.shape
+            raise DatasetError(f"{ip}: image {h}x{w} differs in size from {image_paths[0]}, "
+                               f"{fh}x{fw}")
         out.append(LabeledImage(image=Tensor(gray[None, None]), mask=mask))
     return out

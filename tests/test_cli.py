@@ -31,7 +31,7 @@ from lfam.cli import (
     parse_config,
     parse_config_text,
 )
-from lfam.data import read_pgm, write_pgm
+from lfam.data import gen_synthetic, read_pgm, save_dataset, write_pgm
 from lfam.errors import ConfigError
 
 
@@ -282,6 +282,19 @@ class TestSubcommands:
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o2")]) == EXIT_FILE
         err = capsys.readouterr().err
         assert str(tmp_path / "ds" / "images" / "0000.pgm") in err and problem in err
+
+    def test_untiled_images_of_mixed_sizes_are_a_file_error(self, tmp_path, capsys):
+        # an untiled dataset is batched whole, so its images must share one size
+        small = gen_synthetic(4, 16, num_classes=2, rare_class_frac=0.04, seed=5)
+        large = gen_synthetic(4, 32, num_classes=2, rare_class_frac=0.04, seed=5)
+        save_dataset(tmp_path / "ds", small + large)
+        cfg = write_cfg(tmp_path, SMALL_TRAIN + f"data.root={tmp_path / 'ds'}\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_FILE
+        err = capsys.readouterr().err
+        assert str(tmp_path / "ds" / "images" / "0004.pgm") in err and "32x32" in err
+        assert not (tmp_path / "o" / "log.csv").exists()
+        tiled = write_cfg(tmp_path, SMALL_TRAIN + f"data.root={tmp_path / 'ds'}\ndata.tile=16\n")
+        assert main(["train", "--config", tiled, "--out", str(tmp_path / "t")]) == EXIT_OK
 
     @pytest.mark.parametrize("size, tile", [(18, 0), (16, 6), (16, 32)])
     def test_size_the_network_cannot_take_is_config_error(self, tmp_path, capsys, size, tile):

@@ -1,12 +1,17 @@
-"""Network assembly, forward shapes, flop counting, checkpoints."""
+"""Network assembly, forward shapes, the split no-tape forward, flop counting, checkpoints."""
 
+import os
 import struct
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from lfam.attention import LfamConfig, ResidualSource, global_attention_oracle
-from lfam.errors import CheckpointError, ConfigError, ContractError, ShapeError
+from lfam import unet
+from lfam.attention import LfamConfig, ResidualSource, global_attention_oracle, lfam_forward
+from lfam.errors import CheckpointError, ConfigError, ContractError, NumericalError, ShapeError
 from lfam.rng import make_rng
 from lfam.tensor import Tape, Tensor, backward, grad_check, pow_const, sum_all
 from lfam.unet import (
@@ -190,6 +195,156 @@ class TestForward:
             return sum_all(pow_const(forward(model, t), 2.0))
 
         assert grad_check(f, Tensor(x, dtype=np.float64)) < 1e-3
+
+
+def bench_cfg(m=7, skip="lfam", **kw):
+    """perfbench's network: base 8, depth 2, 4 classes, encoder residual."""
+    lf = LfamConfig(local_range=m, residual_source=ResidualSource.ENCODER)
+    spec = SkipSpec(kind="lfam", lfam=lf) if skip == "lfam" else SkipSpec(kind=skip)
+    return UNetConfig(in_channels=1, num_classes=4, base_channels=8, depth=2,
+                      skips=(spec, spec), **kw)
+
+
+class RecordingHelper:
+    """Stands in for the shard helper; keeps every future it hands out."""
+
+    def __init__(self):
+        self.pool = ThreadPoolExecutor(max_workers=1)
+        self.futures = []
+
+    def submit(self, fn, *args):
+        future = self.pool.submit(fn, *args)
+        self.futures.append(future)
+        return future
+
+
+@pytest.fixture
+def helper(monkeypatch):
+    """A recording helper on a host that reports two cores."""
+    rec = RecordingHelper()
+    monkeypatch.setattr(unet, "_shard_helper", lambda: rec)
+    monkeypatch.setattr(unet, "_cores", lambda: 2)
+    yield rec
+    rec.pool.shutdown()
+
+
+@pytest.fixture
+def no_helper(monkeypatch):
+    def refuse():
+        raise AssertionError("the shard helper was used")
+    monkeypatch.setattr(unet, "_shard_helper", refuse)
+    monkeypatch.setattr(unet, "_cores", lambda: 2)
+
+
+def images(n, side, seed=0, dtype=np.float32):
+    return Tensor(make_rng(seed).random((n, 1, side, side)).astype(dtype), dtype=dtype)
+
+
+class TestShardedForward:
+    @pytest.mark.parametrize("n", [4, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_split_logits_equal_the_whole_batch_bitwise(self, helper, n, dtype):
+        model = build_unet(bench_cfg(), seed=40, dtype=dtype)
+        x = images(n, 128, seed=41, dtype=dtype)
+        got = forward(model, x).data
+        assert len(helper.futures) == 1 and got.dtype == dtype
+        np.testing.assert_array_equal(got, unet._forward_layers(model, x, lfam_forward).data)
+
+    @pytest.mark.parametrize("cfg", [bench_cfg(channel_norm=True), bench_cfg(skip="concat"),
+                                     bench_cfg(skip="none"), bench_cfg(m=5)],
+                             ids=["channel_norm", "concat", "none", "padded_m5"])
+    def test_split_logits_equal_across_configs(self, helper, cfg):
+        model = build_unet(cfg, seed=42)
+        x = images(3, 128, seed=43)
+        got = forward(model, x).data
+        assert len(helper.futures) == 1
+        np.testing.assert_array_equal(got, unet._forward_layers(model, x, lfam_forward).data)
+
+    def test_one_core_runs_both_halves_in_the_caller(self, no_helper, monkeypatch):
+        monkeypatch.setattr(unet, "_cores", lambda: 1)
+        model = build_unet(bench_cfg(), seed=44)
+        x = images(3, 128, seed=45)
+        np.testing.assert_array_equal(forward(model, x).data,
+                                      unet._forward_layers(model, x, lfam_forward).data)
+
+    def test_core_count_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        assert unet._cores() == (os.cpu_count() or 1)
+
+    def test_taped_forward_stays_serial(self, no_helper):
+        # desk32's network (m=4, unpadded) on a batch above the pixel floor
+        model = build_unet(bench_cfg(m=4), seed=46)
+        with Tape() as tape:
+            forward(model, images(2, 128, seed=47))
+        assert len(tape.nodes) == 51
+
+    def test_substituted_fusion_runs_in_the_calling_thread(self, no_helper):
+        callers = []
+
+        def recording(enc, dec, params, cfg):
+            callers.append(threading.get_ident())
+            return lfam_forward(enc, dec, params, cfg)
+
+        model = build_unet(bench_cfg(), seed=48)
+        x = images(4, 128, seed=49)
+        got = forward(model, x, lfam_fn=recording).data
+        assert callers == [threading.get_ident()] * 2  # one call per fusion level
+        np.testing.assert_array_equal(got, unet._forward_layers(model, x, lfam_forward).data)
+
+    @pytest.mark.parametrize("n, side", [(8, 32), (2, 64), (6, 64), (1, 128), (4, 16)])
+    def test_below_the_pixel_floor_no_helper_is_used(self, no_helper, n, side):
+        assert (n + 1) // 2 * side * side < unet._SHARD_MIN_PIXELS or n == 1
+        forward(build_unet(bench_cfg(m=4), seed=50), images(n, side, seed=51))
+
+    def test_a_batch_at_the_pixel_floor_is_split(self, helper):
+        forward(build_unet(bench_cfg(m=4), seed=52), images(8, 64, seed=53))
+        assert len(helper.futures) == 1
+
+    @pytest.mark.parametrize("bad", [0, 3], ids=["first_half", "second_half"])
+    def test_nonfinite_image_raises_and_the_helper_is_joined(self, helper, bad):
+        model = build_unet(bench_cfg(), seed=54)
+        x = images(4, 128, seed=55)
+        poisoned = x.data.copy()
+        poisoned[bad, 0, 5, 7] = np.nan
+        with pytest.raises(NumericalError):
+            forward(model, Tensor(poisoned))
+        assert [f.done() for f in helper.futures] == [True]
+        np.testing.assert_array_equal(forward(model, x).data,
+                                      unet._forward_layers(model, x, lfam_forward).data)
+
+    def test_when_both_halves_fail_the_first_half_error_wins(self, helper, monkeypatch):
+        def failing(model, x, lfam_fn):
+            raise ContractError(f"half of {x.shape[0]}")
+
+        monkeypatch.setattr(unet, "_forward_layers", failing)
+        with pytest.raises(ContractError, match="half of 2"):
+            forward(build_unet(bench_cfg(), seed=56), images(3, 128, seed=57))
+        assert [f.done() for f in helper.futures] == [True]
+
+    def test_concurrent_callers_share_the_helper(self, monkeypatch):
+        # more caller threads than cores, switching often, through the real helper
+        monkeypatch.setattr(unet, "_cores", lambda: 2)
+        model = build_unet(small_cfg("lfam"), seed=58)
+        xs = [images(2, 128, seed=59 + i) for i in range(4)]
+        want = [unet._forward_layers(model, x, lfam_forward).data for x in xs]
+        got = [None] * len(xs)
+
+        def call(i):
+            got[i] = forward(model, xs[i]).data
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(xs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
 class TestFlops:
