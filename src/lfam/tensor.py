@@ -6,9 +6,13 @@ channel-major).  Window tiles are the one other layout: window_split gives
 channel-last (n*N, m, m, c) tiles, which attention views as (n, N, m*m, c)
 rows without a copy, and window_merge takes the same layout back.
 Operations executed while a Tape is active append nodes in creation
-order; backward() replays the nodes once, in reverse, and accumulates
-gradients into every requires_grad tensor not produced on the tape.
-Without an active tape the same functions are plain numpy computations.
+order; leaf_grads() replays the nodes once, in reverse, and returns the
+gradient of every requires_grad tensor not produced on the tape, and
+backward() accumulates those into .grad.  Without an active tape the same
+functions are plain numpy computations.  unet's split training step runs
+each half-batch on its own sub-tape and records one node over both; its
+vjp walks the two sub-tapes with leaf_grads in two threads, which share
+the parameters but write no .grad.
 
 Two ops may reuse the buffer they consume.  relu and masked_softmax take
 overwrite=True to write their result into their input's buffer once every
@@ -137,8 +141,9 @@ class Tape:
     Use as a context manager; every op executed inside appends one node, so
     topological order equals creation order.  A tape and the tensors recorded
     on it form a single-owner group: safe to hand to another thread, not safe
-    to mutate from two threads at once.  Independent tapes may run in
-    parallel (the active-tape stack is thread local).
+    to mutate from two threads at once.  Independent tapes may record and be
+    walked by leaf_grads in parallel (the active-tape stack is thread local),
+    also when they share leaves such as parameters.
     """
 
     def __init__(self):
@@ -187,21 +192,31 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+    for t, g in leaf_grads(tape, loss, np.ones_like(loss.data)):
+        _accumulate(t, g)
+
+
+def leaf_grads(tape: Tape, out: Tensor, seed: np.ndarray) -> list[tuple[Tensor, np.ndarray]]:
+    """(leaf, gradient) pairs for seed flowing back from out through tape.
+
+    Replays the nodes once, in reverse, and returns one pair per
+    requires_grad tensor not produced on the tape that out depends on.
+    Writes no .grad, so two threads may walk tapes that share leaves.
+    """
     # id -> (tensor, gradient flowing into it); every recorded output has
     # requires_grad, so that flag alone decides which inputs get a flow
-    flows: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones_like(loss.data))}
+    flows: dict[int, tuple[Tensor, np.ndarray]] = {id(out): (out, seed)}
     for node in reversed(tape.nodes):
         entry = flows.pop(id(node.out), None)
         if entry is None:
-            continue  # output never reached the loss
+            continue  # output never reached out
         for t, gi in zip(node.inputs, node.vjp(entry[1])):
             if gi is None or not t.requires_grad:
                 continue
             prev = flows.get(id(t))
             flows[id(t)] = (t, gi if prev is None else prev[1] + gi)
-    for t, g in flows.values():  # leaves: tensors never produced on this tape
-        if t.requires_grad:
-            _accumulate(t, g)
+    # what is left are leaves: tensors never produced on this tape
+    return [(t, g) for t, g in flows.values() if t.requires_grad]
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:

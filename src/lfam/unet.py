@@ -27,7 +27,8 @@ from .costmodel import attention_flops_local, fusion_levels
 from .errors import CheckpointError, ConfigError, ContractError, ShapeError
 from .ops import ConvParams, NormParams, channel_norm, conv2d, he_conv, init_norm, maxpool2x2, upconv2x2
 from .rng import make_rng
-from .tensor import Tensor, _active_tape, concat_channels, relu, tensor_from_bytes, tensor_to_bytes
+from .tensor import (Tape, Tensor, _active_tape, _apply, concat_channels, leaf_grads, relu,
+                     tensor_from_bytes, tensor_to_bytes)
 
 _SKIP_KINDS = ("concat", "lfam", "none")
 
@@ -186,12 +187,24 @@ def build_unet(cfg: UNetConfig, seed: int, dtype=np.float32) -> ModelState:
                       fingerprint=config_fingerprint(cfg))
 
 
-# Each shard of a split forward holds at least this many pixels (images x h x w).
-# On small shards, handing the interpreter lock back and forth between the two
-# threads on many short ops costs more than the second core gives: with two
-# cores, splitting took (8, 32x32) from 8.3 to 9.6 ms and (2, 64x64) from 9.9
-# to 12.2 ms, while (2, 128x128) went from 42.4 to 24.0 ms.
-_SHARD_MIN_PIXELS = 16384
+# Each shard of a split forward holds at least this many pixels (images x h x w),
+# with or without a tape.  On small shards, handing the interpreter lock back
+# and forth between the two threads on many short ops costs more than the
+# second core gives.  Serial -> split on two cores, perfbench's network in
+# float32, medians of interleaved calls in one process:
+#
+#   n, side, m   pixels per shard   no-tape forward (ms)   taped step (ms)
+#   2, 128, 7    16384              42.4 -> 24.0           116.7 -> 75.3
+#   6, 64, 7     12288              33.9 -> 19.4
+#   4, 64, 16    8192                                      105.8 -> 46.7
+#   4, 64, 7     8192               22.3 -> 15.6            57.2 -> 41.2
+#   16, 32, 4    8192               17.1 -> 12.2            58.2 -> 52.6
+#   8, 32, 4     4096                8.3 ->  9.6            21.8 -> 22.8
+#   2, 64, 7     4096                9.9 -> 12.2
+#
+# The taped step is forward, focal-IoU loss and backward.  So wide16's
+# (4, 64x64) splits, while desk32's (8, 32x32) and tier-1 batches stay whole.
+_SHARD_MIN_PIXELS = 8192
 
 _helper = None  # the shard helper's ThreadPoolExecutor
 _helper_lock = threading.Lock()
@@ -215,22 +228,44 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
+def _run_shards(fn, first, second) -> tuple:
+    """(fn(first), fn(second)), concurrently when two cores are usable.
+
+    fn(first) runs in the calling thread and fn(second) on the helper; with
+    one usable core both run in the caller, one after the other.  The helper
+    is joined before this returns or raises; when both calls fail, the
+    first call's exception is raised.
+    """
+    if _cores() < 2:
+        return fn(first), fn(second)
+    future = _shard_helper().submit(fn, second)
+    try:
+        head = fn(first)
+    finally:
+        future.exception()  # waits for the helper; its error is raised below or dropped
+    return head, future.result()
+
+
 def forward(model: ModelState, x: Tensor, lfam_fn=None) -> Tensor:
     """Per-pixel class logits with the input's spatial dims.
 
     lfam_fn substitutes the fusion implementation (same signature as
     lfam_forward); used to swap in reference evaluations.
 
-    With no tape active and the built-in fusion (lfam_fn None), a batch
-    whose first ceil(n/2) images hold at least _SHARD_MIN_PIXELS pixels is
-    split there, and the two halves' logits are concatenated.  No layer
-    couples images, so the logits are bitwise those of the whole batch.
-    The split depends only on x's shape; the number of cores only decides
-    whether the second half runs on a helper thread, concurrently with the
-    first in the calling thread, or after it.  A substituted lfam_fn always
+    With the built-in fusion (lfam_fn None), a batch whose first ceil(n/2)
+    images hold at least _SHARD_MIN_PIXELS pixels is split there, and the
+    two halves run as shards through _run_shards.  No layer couples images,
+    so the logits are bitwise those of the whole batch.  The split depends
+    only on x's shape; the number of cores only decides whether the shards
+    run concurrently or one after the other.  A substituted lfam_fn always
     runs serially in the calling thread, since it need not be thread-safe.
-    The helper is joined before this returns or raises; when both halves
-    fail, the first half's exception is raised.
+
+    Under an active tape each shard records on its own sub-tape, and the
+    active tape gets one "unet_shards" node whose inputs are the
+    parameters, plus x when it requires a gradient.  Its vjp walks both
+    sub-tapes through _run_shards and adds their parameter gradients in
+    shard order.  Each weight gradient's sum over the batch is so taken as
+    two halves, which moves it at float rounding from the unsplit batch's.
     """
     cfg = model.config
     n, c, h, w = x.shape
@@ -240,20 +275,43 @@ def forward(model: ModelState, x: Tensor, lfam_fn=None) -> Tensor:
     if h % factor or w % factor:
         raise ShapeError(f"spatial dims {h}x{w} must be divisible by {factor}")
     half = (n + 1) // 2
-    if (lfam_fn is not None or _active_tape() is not None or n < 2
-            or half * h * w < _SHARD_MIN_PIXELS):
+    if lfam_fn is not None or n < 2 or half * h * w < _SHARD_MIN_PIXELS:
         return _forward_layers(model, x, lfam_fn or lfam_forward)
-    first, second = Tensor(x.data[:half]), Tensor(x.data[half:])
-    if _cores() < 2:
-        parts = [_forward_layers(model, t, lfam_forward) for t in (first, second)]
-    else:
-        future = _shard_helper().submit(_forward_layers, model, second, lfam_forward)
-        try:
-            head = _forward_layers(model, first, lfam_forward)
-        finally:
-            future.exception()  # waits for the helper; its error is raised below or dropped
-        parts = [head, future.result()]
+    if _active_tape() is not None:
+        return _taped_shards(model, x, half)
+    parts = _run_shards(lambda t: _forward_layers(model, t, lfam_forward),
+                        Tensor(x.data[:half]), Tensor(x.data[half:]))
     return Tensor(np.concatenate([t.data for t in parts]))
+
+
+def _taped_shards(model: ModelState, x: Tensor, half: int) -> Tensor:
+    """The split forward under a tape: one node on it over two shard sub-tapes."""
+
+    def shard_forward(t: Tensor) -> tuple[Tape, Tensor]:
+        with Tape() as tape:
+            return tape, _forward_layers(model, t, lfam_forward)
+
+    xs = (Tensor(x.data[:half], requires_grad=x.requires_grad),
+          Tensor(x.data[half:], requires_grad=x.requires_grad))
+    shards = _run_shards(shard_forward, *xs)
+    logits = np.concatenate([out.data for _, out in shards])
+    for (_, out), part in zip(shards, (logits[:half], logits[half:])):
+        out.data = part  # the tape then holds one copy of the logits, not two
+    params = [p for p in model.params.values() if p.requires_grad]
+    inputs = params + [x] if x.requires_grad else params
+
+    def vjp(g):
+        def shard_grads(shard):
+            tape, out, seed = shard
+            return {id(t): gt for t, gt in leaf_grads(tape, out, seed)}
+
+        found = _run_shards(shard_grads, (*shards[0], g[:half]), (*shards[1], g[half:]))
+        grads = [found[0][id(p)] + found[1][id(p)] for p in params]
+        if x.requires_grad:
+            grads.append(np.concatenate([f[id(t)] for f, t in zip(found, xs)]))
+        return grads
+
+    return _apply("unet_shards", inputs, logits, vjp)
 
 
 def _forward_layers(model: ModelState, x: Tensor, lfam_fn) -> Tensor:

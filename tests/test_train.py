@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lfam.train
+import lfam.unet
 from lfam.attention import LfamConfig, ResidualSource
 from lfam.data import LabeledImage, gen_synthetic
 from lfam.errors import ConfigError, ContractError, LabelError, NumericalError
@@ -427,6 +428,28 @@ class TestTrainLoop:
             logs.append(train_loop(model, data, cfg).lines())
         assert logs[0] == logs[1]
         assert len(logs[0]) == 2
+
+    def test_split_steps_are_byte_identical_on_any_core_count(self, monkeypatch):
+        # 64x64 batches of 4 split into 8192-pixel shards, taped and not
+        lf = LfamConfig(local_range=16, residual_source=ResidualSource.ENCODER)
+        cfg = UNetConfig(num_classes=2, base_channels=8, depth=2,
+                         skips=(SkipSpec(kind="lfam", lfam=lf),) * 2)
+        images = gen_synthetic(8, size=64, num_classes=2, rare_class_frac=0.05, seed=2)
+        train_cfg = TrainConfig(epochs=1, batch_size=4, lr_base=3e-3, seed=7)
+        splits = []
+        taped_shards = lfam.unet._taped_shards
+
+        def counting(*args):
+            splits.append(args[1].shape)
+            return taped_shards(*args)
+
+        monkeypatch.setattr(lfam.unet, "_taped_shards", counting)
+        logs = []
+        for cores in (2, 2, 1):
+            monkeypatch.setattr(lfam.unet, "_cores", lambda cores=cores: cores)
+            logs.append(train_loop(build_unet(cfg, seed=3), (images, images[:4]), train_cfg).lines())
+        assert splits == [(4, 1, 64, 64)] * 6  # two batches per run
+        assert logs[0] == logs[1] == logs[2]
 
     def test_zero_epochs_leaves_parameters_untouched(self):
         model, data, cfg = tiny_setup()

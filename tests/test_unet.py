@@ -1,4 +1,4 @@
-"""Network assembly, forward shapes, the split no-tape forward, flop counting, checkpoints."""
+"""Network assembly, forward shapes, the split forward and training step, flop counting, checkpoints."""
 
 import os
 import struct
@@ -14,6 +14,7 @@ from lfam.attention import LfamConfig, ResidualSource, global_attention_oracle, 
 from lfam.errors import CheckpointError, ConfigError, ContractError, NumericalError, ShapeError
 from lfam.rng import make_rng
 from lfam.tensor import Tape, Tensor, backward, grad_check, pow_const, sum_all
+from lfam.train import FocalIouLoss, focal_iou_loss
 from lfam.unet import (
     ModelState,
     SkipSpec,
@@ -271,11 +272,11 @@ class TestShardedForward:
         monkeypatch.delattr("os.sched_getaffinity", raising=False)
         assert unet._cores() == (os.cpu_count() or 1)
 
-    def test_taped_forward_stays_serial(self, no_helper):
-        # desk32's network (m=4, unpadded) on a batch above the pixel floor
+    def test_taped_forward_below_the_floor_stays_serial(self, no_helper):
+        # desk32's network and batch (m=4, unpadded, 8 x 32x32): 4096-pixel halves
         model = build_unet(bench_cfg(m=4), seed=46)
         with Tape() as tape:
-            forward(model, images(2, 128, seed=47))
+            forward(model, images(8, 32, seed=47))
         assert len(tape.nodes) == 51
 
     def test_substituted_fusion_runs_in_the_calling_thread(self, no_helper):
@@ -291,13 +292,15 @@ class TestShardedForward:
         assert callers == [threading.get_ident()] * 2  # one call per fusion level
         np.testing.assert_array_equal(got, unet._forward_layers(model, x, lfam_forward).data)
 
-    @pytest.mark.parametrize("n, side", [(8, 32), (2, 64), (6, 64), (1, 128), (4, 16)])
+    @pytest.mark.parametrize("n, side", [(8, 32), (2, 64), (1, 128), (4, 16)])
     def test_below_the_pixel_floor_no_helper_is_used(self, no_helper, n, side):
         assert (n + 1) // 2 * side * side < unet._SHARD_MIN_PIXELS or n == 1
         forward(build_unet(bench_cfg(m=4), seed=50), images(n, side, seed=51))
 
-    def test_a_batch_at_the_pixel_floor_is_split(self, helper):
-        forward(build_unet(bench_cfg(m=4), seed=52), images(8, 64, seed=53))
+    @pytest.mark.parametrize("n, side", [(4, 64), (6, 64)])
+    def test_a_batch_at_or_above_the_pixel_floor_is_split(self, helper, n, side):
+        assert (n + 1) // 2 * side * side >= unet._SHARD_MIN_PIXELS
+        forward(build_unet(bench_cfg(m=4), seed=52), images(n, side, seed=53))
         assert len(helper.futures) == 1
 
     @pytest.mark.parametrize("bad", [0, 3], ids=["first_half", "second_half"])
@@ -345,6 +348,126 @@ class TestShardedForward:
         assert not any(t.is_alive() for t in threads)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
+
+
+# The window-attention key bias has an exact gradient of zero (a softmax is
+# shift-invariant along its keys), so both steps give it rounding noise only.
+KEY_BIASES = ("dec0.fuse.key.bias", "dec1.fuse.key.bias")
+
+
+def taped_step(model, x, target, fn=None):
+    """Forward (or fn), focal-IoU loss and backward; returns (tape, loss, logits, grads)."""
+    model.zero_grads()
+    with Tape() as tape:
+        logits = fn(x) if fn else forward(model, x)
+        loss = focal_iou_loss(logits, target, FocalIouLoss())
+    backward(tape, loss)
+    return tape, loss, logits, {k: p.grad.copy() for k, p in model.params.items()}
+
+
+def serial_step(model, x, target):
+    return taped_step(model, x, target, lambda t: unet._forward_layers(model, t, lfam_forward))
+
+
+def assert_close_to_serial(got, want, dtype):
+    """Each gradient within 1e-6 (float32) or 1e-12 (float64) of its own largest entry.
+
+    A key bias is measured against the largest entry of all the gradients.
+    """
+    tol = 1e-6 if dtype == np.float32 else 1e-12
+    top = max(float(np.abs(g).max()) for g in want.values())
+    for name, g in want.items():
+        scale = top if name in KEY_BIASES else float(np.abs(g).max())
+        assert float(np.abs(got[name] - g).max()) <= tol * scale, name
+
+
+def wide16_batch(n, seed, dtype=np.float32):
+    """wide16's network (m=16) and an n-image 64x64 batch with labels."""
+    model = build_unet(bench_cfg(m=16), seed=seed, dtype=dtype)
+    target = make_rng(seed + 1).integers(0, 4, size=(n, 64, 64))
+    return model, images(n, 64, seed=seed + 2, dtype=dtype), target
+
+
+class TestShardedStep:
+    @pytest.mark.parametrize("n", [4, 3], ids=["wide16", "odd"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_split_step_matches_the_serial_step(self, helper, n, dtype):
+        model, x, target = wide16_batch(n, 70, dtype)
+        _, loss0, logits0, want = serial_step(model, x, target)
+        tape, loss, logits, got = taped_step(model, x, target)
+        assert len(helper.futures) == 2  # the forward's second shard, then its backward's
+        assert len(tape.nodes) == 1 + 17  # unet_shards, then the focal-IoU loss
+        assert tape.nodes[0].op == "unet_shards" and logits.dtype == dtype
+        np.testing.assert_array_equal(loss.data, loss0.data)
+        np.testing.assert_array_equal(logits.data, logits0.data)
+        assert_close_to_serial(got, want, dtype)
+
+    def test_second_backward_doubles_every_gradient(self, helper):
+        model, x, target = wide16_batch(4, 71)
+        tape, loss, _, once = taped_step(model, x, target)
+        backward(tape, loss)
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(p.grad, 2 * once[name])
+
+    def test_one_core_gives_the_two_core_gradients_bitwise(self, helper, monkeypatch):
+        model, x, target = wide16_batch(3, 72)
+        _, loss2, _, two = taped_step(model, x, target)
+        monkeypatch.setattr(unet, "_cores", lambda: 1)
+        _, loss1, _, one = taped_step(model, x, target)
+        assert len(helper.futures) == 2  # only the two-core step used the helper
+        np.testing.assert_array_equal(loss1.data, loss2.data)
+        for name in two:
+            np.testing.assert_array_equal(one[name], two[name])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_input_gets_the_serial_input_gradient(self, helper, dtype):
+        model, x, target = wide16_batch(3, 73, dtype)
+        x.requires_grad = True
+        serial_step(model, x, target)
+        want, x.grad = x.grad, None
+        tape, _, _, _ = taped_step(model, x, target)
+        assert tape.nodes[0].inputs[-1] is x
+        assert_close_to_serial({"x": x.grad}, {"x": want}, dtype)
+
+    def test_substituted_fusion_records_the_serial_step(self, no_helper):
+        model, x, target = wide16_batch(4, 74)
+        tape, _, _, _ = taped_step(model, x, target, lambda t: forward(model, t, lfam_forward))
+        assert len(tape.nodes) == 68
+
+    @pytest.mark.parametrize("bad", [0, 3], ids=["first_half", "second_half"])
+    def test_nonfinite_image_raises_and_records_nothing(self, helper, bad):
+        model, x, target = wide16_batch(4, 75)
+        poisoned = x.data.copy()
+        poisoned[bad, 0, 5, 7] = np.nan
+        with Tape() as tape:
+            with pytest.raises(NumericalError):
+                forward(model, Tensor(poisoned))
+        assert tape.nodes == []
+        assert [f.done() for f in helper.futures] == [True]
+        _, loss0, _, want = serial_step(model, x, target)
+        _, loss, _, got = taped_step(model, x, target)
+        np.testing.assert_array_equal(loss.data, loss0.data)
+        assert_close_to_serial(got, want, np.float32)
+
+    @pytest.mark.parametrize("failing", [2, 1], ids=["first_shard", "second_shard"])
+    def test_failing_shard_vjp_propagates_out_of_backward(self, helper, monkeypatch, failing):
+        model, x, target = wide16_batch(3, 76)  # shards of 2 and 1 images
+        real = unet.leaf_grads
+
+        def leaf_grads(tape, out, seed):
+            if out.shape[0] == failing:
+                raise ContractError(f"shard of {failing} failed")
+            return real(tape, out, seed)
+
+        monkeypatch.setattr(unet, "leaf_grads", leaf_grads)
+        with pytest.raises(ContractError, match=f"shard of {failing} failed"):
+            taped_step(model, x, target)
+        assert [f.done() for f in helper.futures] == [True, True]
+        assert all(p.grad is None for p in model.params.values())
+        monkeypatch.setattr(unet, "leaf_grads", real)
+        _, _, _, want = serial_step(model, x, target)
+        _, _, _, got = taped_step(model, x, target)
+        assert_close_to_serial(got, want, np.float32)
 
 
 class TestFlops:
