@@ -41,6 +41,11 @@ from .tensor import (
 # the global oracle is quadratic in pixel count; refuse anything big
 _ORACLE_PIXEL_LIMIT = 4096
 
+# the window-attention core's vjp runs as many windows at once as fit their
+# scores in this many bytes: half of one core's 2 MiB L2, leaving room for
+# the block's q, k, v and gradient rows
+_BLOCK_BYTES = 1 << 20
+
 
 class ResidualSource(Enum):
     """Which input map is added back onto the attention output."""
@@ -182,8 +187,13 @@ def _window_core(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None,
 
     Returns the gathered rows and P.  The forward calls this module's bmm,
     permute and masked_softmax on untracked views, which perfbench's tracer
-    times.  The vjp writes dS into dP = g vᵀ, a buffer it formed itself,
-    and frees it before forming dv = Pᵀ g.
+    times.  Each window's softmax is independent, so the vjp runs the n*N
+    windows in blocks whose scores fit _BLOCK_BYTES.  It reuses one
+    block-sized buffer for every block's dP = g vᵀ, turns it into dS in
+    place and writes dq and dk into their outputs; dv = Pᵀ g is one product
+    formed after the buffer is freed.  Every product is still one BLAS call
+    per window and every reduction runs along the same row, so the bits do
+    not depend on the block size.
     """
     scores = bmm(Tensor(q.data), permute(Tensor(k.data), (0, 1, 3, 2)))
     if scale is not None:
@@ -192,13 +202,25 @@ def _window_core(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None,
     out = bmm(Tensor(p), Tensor(v.data)).data
 
     def vjp(g):
-        ds = _softmax_grad(g @ v.data.swapaxes(-1, -2), p, 3, overwrite=True)
-        if scale is not None:
-            ds *= scale
-        dq = ds @ k.data
-        dk = (q.data.swapaxes(-1, -2) @ ds).transpose(0, 1, 3, 2)
-        del ds
-        return dq, dk, p.swapaxes(-1, -2) @ g
+        # views are formed here, not captured, so the closure holds only q, k, v, P and scale
+        qf, kf, vf, gf = (x.reshape(-1, *q.shape[2:]) for x in (q.data, k.data, v.data, g))
+        pf = p.reshape(-1, *p.shape[2:])
+        rows = len(pf)
+        per = max(1, _BLOCK_BYTES // pf[0].nbytes)  # windows per block
+        buf = np.empty((min(per, rows),) + pf.shape[1:], dtype=g.dtype)
+        for lo in range(0, rows, per):
+            hi = min(lo + per, rows)
+            ds = np.matmul(gf[lo:hi], vf[lo:hi].swapaxes(-1, -2), out=buf[:hi - lo])
+            _softmax_grad(ds[None], pf[lo:hi][None], 3, overwrite=True)
+            if scale is not None:
+                ds *= scale
+            if lo == 0:  # after the first block's row-dot temporary is freed
+                dq = np.empty(qf.shape, dtype=g.dtype)
+                dkt = np.empty(qf.swapaxes(-1, -2).shape, dtype=g.dtype)
+            np.matmul(ds, kf[lo:hi], out=dq[lo:hi])
+            np.matmul(qf[lo:hi].swapaxes(-1, -2), ds, out=dkt[lo:hi])
+        del buf, ds
+        return dq.reshape(q.shape), dkt.swapaxes(-1, -2).reshape(q.shape), p.swapaxes(-1, -2) @ g
 
     return _apply("window_attention", (q, k, v), out, vjp), p
 

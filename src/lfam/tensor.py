@@ -20,8 +20,9 @@ check has passed; unet's conv blocks pass it for the conv or norm output
 and the window-attention core for its scores.  No vjp reads those inputs
 (relu's vjp masks with its output: out > 0 is a > 0).  No vjp writes into
 the gradient it is handed; the one in-place gradient write is inside the
-window-attention core's vjp (attention._window_core), which turns the
-probabilities' gradient into the scores' gradient in the buffer it formed.
+window-attention core's vjp (attention._window_core), which turns each
+block of windows' probability gradient into their scores' gradient in one
+block-sized buffer that it formed and reuses for every block.
 
 Training code runs in float32; gradient checking must run in float64
 because central differences are unreliable in single precision.

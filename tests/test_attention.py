@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfam import attention
 from lfam.attention import (
     AttentionWeights,
     LfamConfig,
@@ -21,11 +22,18 @@ from lfam.attention import (
     window_partition,
     windowed_reference,
 )
-from lfam.errors import ConfigError, ScaleGuardError, ShapeError
+from lfam.errors import (
+    ConfigError,
+    DegenerateWindowError,
+    NumericalError,
+    ScaleGuardError,
+    ShapeError,
+)
 from lfam.rng import make_rng
 from lfam.tensor import (
     Tape,
     Tensor,
+    _softmax_grad,
     affine,
     backward,
     bmm,
@@ -265,12 +273,14 @@ class TestTapeSize:
 class TestWindowCore:
     """_window_core is one tape node with the values and gradients of the taped chain."""
 
-    @staticmethod
-    def _rows(seed, dtype, padded):
+    batch = 2
+
+    def _rows(self, seed, dtype, padded):
         rng = make_rng(seed)
         grid = window_partition(7, 7, 4) if padded else window_partition(8, 8, 4)
         nw = grid.n_windows
-        q, k, v = (Tensor(rng.standard_normal((2, nw, 16, 3)), requires_grad=True, dtype=dtype)
+        q, k, v = (Tensor(rng.standard_normal((self.batch, nw, 16, 3)), requires_grad=True,
+                          dtype=dtype)
                    for _ in range(3))
         mask = grid.key_mask.reshape(1, nw, 1, 16) if padded else None
         return rng, q, k, v, mask
@@ -315,6 +325,54 @@ class TestWindowCore:
         node.vjp(g)
         np.testing.assert_array_equal(g, g0)
 
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_nonfinite_score_in_the_last_window_raises(self, padded):
+        _, q, k, v, mask = self._rows(44, np.float32, padded)
+        q.data[-1, -1, 0, 0] = np.inf
+        with Tape() as tape:
+            with pytest.raises(NumericalError):
+                _window_core(q, k, v, mask, None)
+        assert tape.nodes == []
+
+    def test_fully_masked_row_in_the_last_window_raises(self):
+        _, q, k, v, mask = self._rows(45, np.float32, True)
+        mask = np.broadcast_to(mask, (self.batch,) + mask.shape[1:]).copy()
+        mask[-1, -1] = False
+        with Tape() as tape:
+            with pytest.raises(DegenerateWindowError):
+                _window_core(q, k, v, mask, None)
+        assert tape.nodes == []
+
+
+class TestWindowCoreInBlocks(TestWindowCore):
+    """The same checks with the vjp's 16 windows split into ragged blocks.
+
+    Blocks of 7 * 16 * 16 float32 scores hold 7, 7 and 2 windows; in float64
+    they hold 3, 3, 3, 3, 3 and 1.
+    """
+
+    batch = 4
+
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, monkeypatch):
+        monkeypatch.setattr(attention, "_BLOCK_BYTES", 7 * 16 * 16 * 4)
+
+    @pytest.mark.parametrize("dtype, sizes", [(np.float32, [7, 7, 2]),
+                                              (np.float64, [3, 3, 3, 3, 3, 1])])
+    def test_vjp_runs_the_softmax_gradient_once_per_block(self, monkeypatch, dtype, sizes):
+        seen = []
+
+        def recording(g, p, axis, overwrite=False):
+            seen.append(g.shape[1])
+            return _softmax_grad(g, p, axis, overwrite)
+
+        monkeypatch.setattr(attention, "_softmax_grad", recording)
+        rng, q, k, v, mask = self._rows(43, dtype, True)
+        with Tape() as tape:
+            out, _ = _window_core(q, k, v, mask, None)
+        tape.nodes[0].vjp(rng.standard_normal(out.shape).astype(dtype))
+        assert seen == sizes
+
 
 class TestBufferReuse:
     def test_no_tape_forward_holds_one_score_buffer(self):
@@ -347,15 +405,16 @@ class TestBufferReuse:
         for t, g in zip(leaves, once):
             np.testing.assert_array_equal(t.grad, 2 * g)
 
-    def test_wide16_fusion_step_peaks_under_three_score_buffers(self):
-        # one level-0 wide16 call: scores and probabilities are (2, 16, 256, 256)
-        # float32, 8 MiB each; keeping both alive and a fresh softmax gradient
-        # peaked at 4.4 of them
+    @staticmethod
+    def _wide16_fusion_step_peak():
+        """tracemalloc peak of one level-0 wide16 call plus backward, in score buffers.
+
+        The scores and probabilities are (2, 16, 256, 256) float32, 8 MiB each.
+        """
         rng = make_rng(39)
         enc, dec = random_pair(rng, n=2, c=8, h=64, w=64, dtype=np.float32)
         enc.requires_grad = dec.requires_grad = True
         params = init_lfam_params(8, rng)
-        score_bytes = 2 * 16 * 256 * 256 * 4
         tracemalloc.start()
         try:
             with Tape() as tape:
@@ -364,7 +423,37 @@ class TestBufferReuse:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * score_bytes
+        return peak / (2 * 16 * 256 * 256 * 4)
+
+    def test_wide16_fusion_step_peaks_under_three_score_buffers(self):
+        # keeping scores and probabilities alive and a fresh softmax gradient
+        # peaked at 4.4 of them
+        assert self._wide16_fusion_step_peak() < 3
+
+    def test_wide16_fusion_step_peaks_under_two_score_buffers(self):
+        # the core keeps P and forms the scores' gradient one 1 MiB block at a
+        # time; a full-size gradient peaked at 2.44 buffers
+        assert self._wide16_fusion_step_peak() < 2
+
+    def test_single_block_core_holds_p_ds_and_three_row_buffers(self):
+        # desk32's level-0 rows fit one block: forward then backward peaks at
+        # P and dS (512 KiB each) plus the output, dq and dk (256 KiB each);
+        # the softmax gradient's 32 KiB row-dot temporary is freed before dq
+        # and dk are allocated
+        rng = make_rng(46)
+        q, k, v = (Tensor(rng.standard_normal((8, 64, 16, 8)), requires_grad=True,
+                          dtype=np.float32) for _ in range(3))
+        g = rng.standard_normal(q.shape).astype(np.float32)
+        score_bytes, row_bytes = 8 * 64 * 16 * 16 * 4, q.data.nbytes
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                _window_core(q, k, v, None, None)
+            tape.nodes[0].vjp(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * score_bytes + 3 * row_bytes + 16 * 1024
 
 
 class TestOracleGuard:

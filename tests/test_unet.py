@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from lfam import unet
+from lfam import attention, unet
 from lfam.attention import LfamConfig, ResidualSource, global_attention_oracle, lfam_forward
 from lfam.errors import CheckpointError, ConfigError, ContractError, NumericalError, ShapeError
 from lfam.rng import make_rng
@@ -401,6 +401,20 @@ class TestShardedStep:
         np.testing.assert_array_equal(loss.data, loss0.data)
         np.testing.assert_array_equal(logits.data, logits0.data)
         assert_close_to_serial(got, want, dtype)
+
+    def test_many_attention_blocks_give_the_one_block_step_bitwise(self, helper, monkeypatch):
+        # one window per block (32 blocks per shard at level 0) against one
+        # block per fusion call
+        model, x, target = wide16_batch(4, 77)
+        steps = []
+        for block_bytes in (1, 1 << 40):
+            monkeypatch.setattr(attention, "_BLOCK_BYTES", block_bytes)
+            steps.append(taped_step(model, x, target))
+        (_, loss_a, logits_a, grads_a), (_, loss_b, logits_b, grads_b) = steps
+        np.testing.assert_array_equal(loss_a.data, loss_b.data)
+        np.testing.assert_array_equal(logits_a.data, logits_b.data)
+        for name in grads_b:
+            np.testing.assert_array_equal(grads_a[name], grads_b[name])
 
     def test_second_backward_doubles_every_gradient(self, helper):
         model, x, target = wide16_batch(4, 71)
