@@ -8,6 +8,16 @@ an analytic attention flop model, a synthetic data pipeline with tiling and
 k-fold planning, and a key=value-configured command line.
 """
 
+import os
+
+# one BLAS thread unless the user chose a count: the U-Net forward and the
+# training step run half-batch shards on two threads, and a BLAS that also
+# starts one thread per core in each of them oversubscribes the cores.
+# OpenBLAS reads these when numpy loads it, so this must precede numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 __version__ = "0.1.0"
 
 from .attention import (

@@ -16,6 +16,7 @@ taped path.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -25,6 +26,7 @@ from .errors import ConfigError, ScaleGuardError, ShapeError
 from .ops import ConvParams, conv2d, he_conv
 from .tensor import (
     Tensor,
+    _active_tape,
     _apply,
     _softmax_grad,
     add,
@@ -41,10 +43,15 @@ from .tensor import (
 # the global oracle is quadratic in pixel count; refuse anything big
 _ORACLE_PIXEL_LIMIT = 4096
 
-# the window-attention core's vjp runs as many windows at once as fit their
-# scores in this many bytes: half of one core's 2 MiB L2, leaving room for
-# the block's q, k, v and gradient rows
+# the window-attention core runs as many windows at once as fit their scores
+# in this many bytes: half of one core's 2 MiB L2, leaving room for the
+# block's q, k, v and gradient rows
 _BLOCK_BYTES = 1 << 20
+
+# per thread, the score buffer of a forward that keeps no P; kept across
+# calls, since freeing it each call lets glibc hand its pages back and
+# fault them in again on the next call
+_SCRATCH = threading.local()
 
 
 class ResidualSource(Enum):
@@ -181,25 +188,64 @@ def _validate_pair(encoder: Tensor, decoder: Tensor, params: LfamParams, cfg: Lf
                           f"got {params.proj_channels} vs {c}")
 
 
+def _scratch(nbytes: int) -> np.ndarray:
+    """This thread's kept score buffer, grown to at least nbytes."""
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or buf.nbytes < nbytes:
+        buf = _SCRATCH.buf = np.empty(nbytes, dtype=np.uint8)
+    return buf
+
+
 def _window_core(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None,
-                 scale: float | None) -> tuple[Tensor, np.ndarray]:
+                 scale: float | None, keep_p: bool = True) -> tuple[Tensor, np.ndarray | None]:
     """softmax(q kᵀ * scale) v over (n, N, m*m, d) window rows, as one tape node.
 
-    Returns the gathered rows and P.  The forward calls this module's bmm,
-    permute and masked_softmax on untracked views, which perfbench's tracer
-    times.  Each window's softmax is independent, so the vjp runs the n*N
-    windows in blocks whose scores fit _BLOCK_BYTES.  It reuses one
-    block-sized buffer for every block's dP = g vᵀ, turns it into dS in
-    place and writes dq and dk into their outputs; dv = Pᵀ g is one product
-    formed after the buffer is freed.  Every product is still one BLAS call
-    per window and every reduction runs along the same row, so the bits do
-    not depend on the block size.
+    Returns the gathered rows and P.  Each window's softmax is independent,
+    so forward and vjp both run the n*N windows in blocks whose scores fit
+    _BLOCK_BYTES; a block's mask rows are those of its flat windows b*N + w.
+    The forward calls this module's bmm, permute and masked_softmax on
+    untracked views, which perfbench's tracer times.  A block's scores go
+    into its slice of a full-size P when P is kept (keep_p, or a tape that
+    records the node, whose vjp reads P); otherwise into this thread's kept
+    scratch buffer, and P is returned as None.  The softmax overwrites the
+    scores and P·V goes into the block's rows of the output.
+
+    The vjp reuses one block-sized buffer for every block's dP = g vᵀ,
+    turns it into dS in place and writes dq and dk into their outputs;
+    dv = Pᵀ g is one product formed after the buffer is freed.  Every
+    product is still one BLAS call per window and every reduction runs along
+    the same row, so the bits do not depend on the block size.
     """
-    scores = bmm(Tensor(q.data), permute(Tensor(k.data), (0, 1, 3, 2)))
-    if scale is not None:
-        scores.data *= scale
-    p = masked_softmax(scores, mask, overwrite=True).data  # no vjp reads the scores
-    out = bmm(Tensor(p), Tensor(v.data)).data
+    n, nw, mm, d = q.shape
+    rows = n * nw
+    dtype = q.dtype
+    keep_p = keep_p or (_active_tape() is not None and any(t.requires_grad for t in (q, k, v)))
+    per = max(1, _BLOCK_BYTES // (mm * mm * dtype.itemsize))  # windows per block
+    # the loop sees every operand as (1, n*N, ...): window b*N + w of image b
+    out = np.empty(q.shape, dtype=dtype)
+    if keep_p:
+        p = np.empty((n, nw, mm, mm), dtype=dtype)
+        pf = p.reshape(1, rows, mm, mm)
+    else:
+        p = None
+        nbytes = min(per, rows) * mm * mm * dtype.itemsize
+        # cut to nbytes before the view: a float32 call may leave a length
+        # that is no multiple of 8
+        pf = _scratch(nbytes)[:nbytes].view(dtype).reshape(1, -1, mm, mm)
+    qf, vf, of = (x.reshape(1, rows, mm, d) for x in (q.data, v.data, out))
+    kt = permute(Tensor(k.data.reshape(1, rows, mm, d)), (0, 1, 3, 2)).data
+    if mask is not None:
+        mask = np.broadcast_to(mask, (n, nw) + mask.shape[2:]).reshape(1, rows, *mask.shape[2:])
+    for lo in range(0, rows, per):
+        hi = min(lo + per, rows)
+        dst = pf[:, lo:hi] if keep_p else pf[:, :hi - lo]
+        scores = bmm(Tensor(qf[:, lo:hi]), Tensor(kt[:, lo:hi]), out=dst)
+        if scale is not None:
+            scores.data *= scale
+        probs = masked_softmax(scores, None if mask is None else mask[:, lo:hi], overwrite=True)
+        bmm(probs, Tensor(vf[:, lo:hi]), out=of[:, lo:hi])
+    if not keep_p:  # no tape records the node, so nothing reads P
+        return Tensor(out), None
 
     def vjp(g):
         # views are formed here, not captured, so the closure holds only q, k, v, P and scale
@@ -228,6 +274,18 @@ def _window_core(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None,
 def lfam_attention(encoder: Tensor, decoder: Tensor, params: LfamParams,
                    cfg: LfamConfig) -> tuple[Tensor, AttentionWeights]:
     """Fused map plus the attention weights that produced it."""
+    fused, grid, weights = _fuse(encoder, decoder, params, cfg, keep_p=True)
+    return fused, AttentionWeights(grid, weights)
+
+
+def lfam_forward(encoder: Tensor, decoder: Tensor, params: LfamParams, cfg: LfamConfig) -> Tensor:
+    """Windowed source-target attention between encoder and decoder maps."""
+    return _fuse(encoder, decoder, params, cfg, keep_p=False)[0]
+
+
+def _fuse(encoder: Tensor, decoder: Tensor, params: LfamParams, cfg: LfamConfig,
+          keep_p: bool) -> tuple[Tensor, WindowGrid, np.ndarray | None]:
+    """Fused map, window grid and P; P is None when neither keep_p nor a tape needs it."""
     _validate_pair(encoder, decoder, params, cfg)
     n, c, h, w = encoder.shape
     m = cfg.local_range
@@ -251,7 +309,7 @@ def lfam_attention(encoder: Tensor, decoder: Tensor, params: LfamParams,
     # mask, viewed as (1, nw, 1, mm), broadcasts over batch and query rows
     mask = grid.key_mask.reshape(1, nw, 1, mm) if pad_h or pad_w else None
     scale = float(1.0 / np.sqrt(d)) if cfg.scale_logits else None  # keeps float32 data float32
-    gathered, weights = _window_core(rows_of(q), rows_of(k), rows_of(v), mask, scale)
+    gathered, weights = _window_core(rows_of(q), rows_of(k), rows_of(v), mask, scale, keep_p)
 
     fused = window_merge(reshape(gathered, (n * nw, m, m, d)), n, grid.rows * m, grid.cols * m)
     if pad_h or pad_w:
@@ -262,13 +320,7 @@ def lfam_attention(encoder: Tensor, decoder: Tensor, params: LfamParams,
     elif cfg.residual_source is ResidualSource.DECODER:
         fused = add(fused, decoder)
 
-    return fused, AttentionWeights(grid, weights)
-
-
-def lfam_forward(encoder: Tensor, decoder: Tensor, params: LfamParams, cfg: LfamConfig) -> Tensor:
-    """Windowed source-target attention between encoder and decoder maps."""
-    fused, _ = lfam_attention(encoder, decoder, params, cfg)
-    return fused
+    return fused, grid, weights
 
 
 # ---------------------------------------------------------------------------

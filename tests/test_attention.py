@@ -1,6 +1,9 @@
 """Windowed fusion against per-window and global references, plus locality."""
 
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -374,6 +377,134 @@ class TestWindowCoreInBlocks(TestWindowCore):
         assert seen == sizes
 
 
+class TestNoTapeForwardInBlocks:
+    """Without a tape the core keeps no P: each block's scores go into this
+    thread's kept scratch buffer, and the output is bitwise that of a call
+    that keeps P.
+
+    Maps of 3 images with 4 windows each (8x8 or 7x7, m=4) give 12 windows;
+    blocks of 5 hold windows 0-4, 5-9 and 10-11, so the first two cross a
+    batch boundary and take mask rows from two images.
+    """
+
+    @staticmethod
+    def _blocks_of_five(monkeypatch, dtype):
+        monkeypatch.setattr(attention, "_BLOCK_BYTES", 5 * 16 * 16 * np.dtype(dtype).itemsize)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("side", [8, 7])
+    @pytest.mark.parametrize("scale_logits", [False, True])
+    def test_matches_attention_and_a_taped_call_bitwise(self, monkeypatch, dtype, side,
+                                                         scale_logits):
+        self._blocks_of_five(monkeypatch, dtype)
+        rng = make_rng(47)
+        enc, dec = random_pair(rng, n=3, c=3, h=side, w=side, dtype=dtype)
+        params = init_lfam_params(3, rng, dtype=dtype)
+        cfg = LfamConfig(local_range=4, scale_logits=scale_logits)
+        got = lfam_forward(enc, dec, params, cfg)
+        kept, weights = lfam_attention(enc, dec, params, cfg)
+        assert weights.weights.shape == (3, 4, 16, 16)
+        enc.requires_grad = True
+        with Tape() as tape:
+            taped = lfam_forward(enc, dec, params, cfg)
+        assert "window_attention" in [node.op for node in tape.nodes]
+        monkeypatch.setattr(attention, "_BLOCK_BYTES", 1 << 20)
+        whole = lfam_forward(enc, dec, params, cfg)  # one block
+        assert got.dtype == dtype
+        for want in (kept, taped, whole):
+            np.testing.assert_array_equal(got.data, want.data)
+        # the paths above share the block loop; the reference shares nothing
+        np.testing.assert_allclose(got.data, windowed_reference(enc, dec, params, cfg),
+                                   atol=1e-5 if dtype == np.float32 else 1e-10)
+
+    def _rows(self, padded, dtype=np.float32):
+        rng = make_rng(48)
+        grid = window_partition(7, 7, 4) if padded else window_partition(8, 8, 4)
+        q, k, v = (Tensor(rng.standard_normal((3, 4, 16, 3)), requires_grad=True, dtype=dtype)
+                   for _ in range(3))
+        mask = grid.key_mask.reshape(1, 4, 1, 16) if padded else None
+        return q, k, v, mask
+
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_core_keeps_p_only_when_asked_or_taped(self, monkeypatch, padded):
+        self._blocks_of_five(monkeypatch, np.float32)
+        q, k, v, mask = self._rows(padded)
+        out, p = _window_core(q, k, v, mask, 0.5, keep_p=False)
+        assert p is None
+        want, p = _window_core(q, k, v, mask, 0.5)
+        assert p.shape == (3, 4, 16, 16)
+        np.testing.assert_array_equal(out.data, want.data)
+        with Tape() as tape:
+            taped, p = _window_core(q, k, v, mask, 0.5, keep_p=False)
+        assert p is not None and len(tape.nodes) == 1
+        np.testing.assert_array_equal(taped.data, want.data)
+
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_nonfinite_score_in_the_last_block_raises(self, monkeypatch, padded):
+        self._blocks_of_five(monkeypatch, np.float32)
+        q, k, v, mask = self._rows(padded)
+        q.data[-1, -1, 0, 0] = np.inf  # window 11: only the last block sees it
+        with pytest.raises(NumericalError):
+            _window_core(q, k, v, mask, None, keep_p=False)
+
+    def test_fully_masked_row_in_the_last_block_raises(self, monkeypatch):
+        self._blocks_of_five(monkeypatch, np.float32)
+        q, k, v, mask = self._rows(True)
+        mask = np.broadcast_to(mask, (3,) + mask.shape[1:]).copy()
+        mask[-1, -1] = False
+        with pytest.raises(DegenerateWindowError):
+            _window_core(q, k, v, mask, None, keep_p=False)
+
+    def test_scratch_left_by_float32_serves_float64(self):
+        # on a new thread: 5 float32 windows of 9 keys leave a 1620-byte
+        # buffer, which a 2-window float64 call (1296 bytes) then reuses
+        def calls():
+            rng = make_rng(51)
+            for n, dtype in ((5, np.float32), (2, np.float64)):
+                enc, dec = random_pair(rng, n=n, c=2, h=3, w=3, dtype=dtype)
+                params = init_lfam_params(2, rng, dtype=dtype)
+                cfg = LfamConfig(local_range=3)
+                kept, _ = lfam_attention(enc, dec, params, cfg)
+                np.testing.assert_array_equal(lfam_forward(enc, dec, params, cfg).data, kept.data)
+            return attention._SCRATCH.buf.nbytes
+
+        with ThreadPoolExecutor(1) as pool:
+            assert pool.submit(calls).result(timeout=60) == 5 * 81 * 4
+
+    def test_threads_match_a_serial_run_and_keep_their_own_scratch(self, monkeypatch):
+        # three threads on two cores, switching often; blocks of 11, 3 and 1
+        # windows at m=5, 7 and 8, so the threads' blocks interleave and a
+        # shared buffer would mix their scores
+        monkeypatch.setattr(attention, "_BLOCK_BYTES", 3 * 49 * 49 * 4)
+        rng = make_rng(49)
+        params = init_lfam_params(4, rng)
+        cases = [(random_pair(rng, n=2, c=4, h=side, w=side, dtype=np.float32),
+                  LfamConfig(local_range=m)) for side, m in ((12, 5), (20, 7), (16, 8))]
+        serial = [lfam_forward(enc, dec, params, cfg).data for (enc, dec), cfg in cases]
+        barrier = threading.Barrier(len(cases))
+
+        def work(case):
+            (enc, dec), cfg = case
+            barrier.wait(timeout=60)
+            outs = [lfam_forward(enc, dec, params, cfg).data for _ in range(20)]
+            return outs, attention._SCRATCH.buf
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(cases)) as pool:
+                results = list(pool.map(work, cases, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for want, (outs, _) in zip(serial, results):
+            for out in outs:
+                np.testing.assert_array_equal(out, want)
+        buffers = [buf for _, buf in results] + [attention._SCRATCH.buf]
+        for i, a in enumerate(buffers):
+            for b in buffers[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+
 class TestBufferReuse:
     def test_no_tape_forward_holds_one_score_buffer(self):
         # one level-0 wide16 call: the scores are (2, 16, 256, 256) float32,
@@ -389,6 +520,38 @@ class TestBufferReuse:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * score_bytes
+
+    @staticmethod
+    def _cold_no_tape_peak(side, m):
+        """tracemalloc peak of one no-tape (2, 8, side², m) call, in score buffers.
+
+        The call runs on a new thread, which has no scratch buffer yet.
+        """
+        rng = make_rng(50)
+        enc, dec = random_pair(rng, n=2, c=8, h=side, w=side, dtype=np.float32)
+        params = init_lfam_params(8, rng)
+        score_bytes = 2 * (-(-side // m)) ** 2 * (m * m) ** 2 * 4
+
+        def call():
+            tracemalloc.start()
+            try:
+                lfam_forward(enc, dec, params, LfamConfig(local_range=m))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with ThreadPoolExecutor(1) as pool:
+            return pool.submit(call).result() / score_bytes
+
+    def test_cold_no_tape_wide16_call_peaks_under_half_a_score_buffer(self):
+        # the 8 MiB of (2, 16, 256, 256) scores pass 1 MiB at a time through
+        # the new scratch buffer: 0.35 buffers, against 1.22 for a full-size P
+        assert self._cold_no_tape_peak(64, 16) < 0.5
+
+    def test_cold_no_tape_eval128_call_peaks_under_one_and_a_half_score_buffers(self):
+        # (2, 361, 49, 49) float32 scores, 6.6 MiB: 1.28 buffers with the
+        # scratch, 2.11 with a full-size P
+        assert self._cold_no_tape_peak(128, 7) < 1.5
 
     @pytest.mark.parametrize("h", [8, 7])
     def test_second_backward_doubles_every_gradient_exactly(self, h):

@@ -8,8 +8,10 @@ see would only show as wrong per-layer numbers; these checks catch both
 in the unit tests.
 """
 
+import importlib
 import importlib.util
 import inspect
+import math
 from pathlib import Path
 
 import numpy as np
@@ -64,3 +66,21 @@ def test_traced_unit_times_the_attention_core_under_attention_names():
     assert all(tracer._backward_name(i, "window_attention").startswith("attention.")
                for i in cores)
     assert "tensor.window_attention.bwd" not in names
+
+
+def test_traced_no_tape_unit_with_padded_windows_reports_attention_gflops(monkeypatch):
+    # a no-tape forward runs the core block by block through a kept scratch
+    # buffer; its products and softmax must still pass through the wrapped
+    # names, or bench.layer_metrics divides attention.flops by zero
+    monkeypatch.syspath_prepend(str(TRACER.parent))
+    bench = importlib.import_module("bench")
+    from catalog import SELFTEST_WORKLOADS
+
+    wl = SELFTEST_WORKLOADS["tiny-eval"]
+    assert not wl.train and wl.size % wl.m  # no tape, padded windows
+    runner = bench.Runner(wl, seed=0)
+    tracer = bench.Tracer()
+    runner.unit(1, tracer)
+    names = {span[0] for span in tracer.spans}
+    assert {"attention.bmm.fwd", "attention.softmax.fwd"} <= names
+    assert math.isfinite(bench.layer_metrics(runner, tracer)["attention.gflops"])
