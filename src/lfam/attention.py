@@ -8,6 +8,12 @@ Maps whose sides are not multiples of m are zero-padded at the bottom and
 right; padded key positions receive exactly zero attention weight and
 padded query rows are cropped away at the end.
 
+The window layout lives here too: window_partition checks a tiling once,
+as a WindowGrid, and pad_bottom_right, window_split (channel-last
+(n*N, m, m, c) tiles, viewed as (n, N, m*m, c) rows without a copy),
+window_merge and crop_top_left take that grid.  The tile order is written
+once, in _map_to_tiles, which also builds the key mask.
+
 Two independent references live here as well: a per-window direct
 evaluation with explicit score matrices, and a global all-pairs oracle for
 the single-window limit.  Both are plain numpy, sharing nothing with the
@@ -31,13 +37,9 @@ from .tensor import (
     _softmax_grad,
     add,
     bmm,
-    crop_top_left,
     masked_softmax,
-    pad_bottom_right,
     permute,
     reshape,
-    window_merge,
-    window_split,
 )
 
 # the global oracle is quadratic in pixel count; refuse anything big
@@ -103,6 +105,11 @@ class WindowGrid:
     pad_mask: np.ndarray
     key_mask: np.ndarray = field(repr=False)
 
+    @property
+    def padded(self) -> bool:
+        """True when the windows reach past the map at the bottom or right."""
+        return self.pad_mask.shape != (self.h, self.w)
+
 
 def window_partition(h: int, w: int, m: int) -> WindowGrid:
     if h < 1 or w < 1 or m < 1:
@@ -111,11 +118,59 @@ def window_partition(h: int, w: int, m: int) -> WindowGrid:
     cols = -(-w // m)
     pad_mask = np.zeros((rows * m, cols * m), dtype=bool)
     pad_mask[:h, :w] = True
-    key_mask = (pad_mask.reshape(rows, m, cols, m)
-                .transpose(0, 2, 1, 3)
-                .reshape(rows * cols, 1, 1, m * m))
+    key_mask = _map_to_tiles(pad_mask[None, None], m).reshape(rows * cols, 1, 1, m * m)
     return WindowGrid(h=h, w=w, m=m, rows=rows, cols=cols,
                       n_windows=rows * cols, pad_mask=pad_mask, key_mask=key_mask)
+
+
+def _map_to_tiles(x: np.ndarray, m: int) -> np.ndarray:
+    """(n, c, rows*m, cols*m) map -> (n*rows*cols, m, m, c) tiles, batch-major, row-major."""
+    n, c, hh, ww = x.shape
+    return (x.reshape(n, c, hh // m, m, ww // m, m)
+            .transpose(0, 2, 4, 3, 5, 1)
+            .reshape(-1, m, m, c))
+
+
+def _tiles_to_map(tiles: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Inverse of _map_to_tiles: tiles of rows x cols windows per image back to the map."""
+    _, m, _, c = tiles.shape
+    n = len(tiles) // (rows * cols)
+    return (tiles.reshape(n, rows, cols, m, m, c)
+            .transpose(0, 5, 1, 3, 2, 4)
+            .reshape(n, c, rows * m, cols * m))
+
+
+# The four window ops' vjps capture integers, not the grid: a taped node
+# outlives its fusion call, and the grid's two masks need not live as long.
+
+def pad_bottom_right(a: Tensor, grid: WindowGrid) -> Tensor:
+    """Zero-pad an (n, c, h, w) map at the bottom and right to whole windows."""
+    h, w = grid.h, grid.w
+    hh, ww = grid.pad_mask.shape
+    out = np.pad(a.data, ((0, 0), (0, 0), (0, hh - h), (0, ww - w)))
+    return _apply("pad_bottom_right", (a,), out, lambda g: (g[:, :, :h, :w],))
+
+
+def window_split(a: Tensor, grid: WindowGrid) -> Tensor:
+    """Cut an (n, c, rows*m, cols*m) map into contiguous channel-last tiles (n*N, m, m, c)."""
+    rows, cols = grid.rows, grid.cols
+    return _apply("window_split", (a,), _map_to_tiles(a.data, grid.m),
+                  lambda g: (_tiles_to_map(g, rows, cols),))
+
+
+def window_merge(tiles: Tensor, grid: WindowGrid) -> Tensor:
+    """Inverse of window_split: tiles (n*N, m, m, c) back to (n, c, rows*m, cols*m)."""
+    m = grid.m
+    return _apply("window_merge", (tiles,), _tiles_to_map(tiles.data, grid.rows, grid.cols),
+                  lambda g: (_map_to_tiles(g, m),))
+
+
+def crop_top_left(a: Tensor, grid: WindowGrid) -> Tensor:
+    """Inverse of pad_bottom_right: the (n, c, h, w) map inside its whole windows."""
+    h, w = grid.h, grid.w
+    hh, ww = grid.pad_mask.shape
+    return _apply("crop_top_left", (a,), a.data[:, :, :h, :w].copy(),
+                  lambda g: (np.pad(g, ((0, 0), (0, 0), (0, hh - h), (0, ww - w))),))
 
 
 @dataclass
@@ -297,23 +352,22 @@ def _fuse(encoder: Tensor, decoder: Tensor, params: LfamParams, cfg: LfamConfig,
     k = conv2d(kv_src, params.key)
     v = conv2d(kv_src, params.value)
 
-    pad_h, pad_w = grid.rows * m - h, grid.cols * m - w
     nw, mm = grid.n_windows, m * m
 
     def rows_of(t: Tensor) -> Tensor:
-        if pad_h or pad_w:
-            t = pad_bottom_right(t, pad_h, pad_w)
-        return reshape(window_split(t, m), (n, nw, mm, d))  # a view of the tiles
+        if grid.padded:
+            t = pad_bottom_right(t, grid)
+        return reshape(window_split(t, grid), (n, nw, mm, d))  # a view of the tiles
 
     # unpadded windows have only real keys; otherwise the (nw, 1, 1, mm) key
     # mask, viewed as (1, nw, 1, mm), broadcasts over batch and query rows
-    mask = grid.key_mask.reshape(1, nw, 1, mm) if pad_h or pad_w else None
+    mask = grid.key_mask.reshape(1, nw, 1, mm) if grid.padded else None
     scale = float(1.0 / np.sqrt(d)) if cfg.scale_logits else None  # keeps float32 data float32
     gathered, weights = _window_core(rows_of(q), rows_of(k), rows_of(v), mask, scale, keep_p)
 
-    fused = window_merge(reshape(gathered, (n * nw, m, m, d)), n, grid.rows * m, grid.cols * m)
-    if pad_h or pad_w:
-        fused = crop_top_left(fused, h, w)
+    fused = window_merge(reshape(gathered, (n * nw, m, m, d)), grid)
+    if grid.padded:
+        fused = crop_top_left(fused, grid)
 
     if cfg.residual_source is ResidualSource.ENCODER:
         fused = add(fused, encoder)

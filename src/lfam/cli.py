@@ -42,7 +42,13 @@ EXIT_FILE = 4
 EXIT_NUMERICAL = 5
 EXIT_PIPE = 141
 
-OUT_DIR_ENV = "LFAM_OUT_DIR"
+
+def _reparseable(text: str) -> bool:
+    """True when text reads back unchanged from a `key=value` line."""
+    return "#" not in text and text == text.strip() and len(text.splitlines()) <= 1
+
+
+_REPARSEABLE = "free of '#' and line breaks, with no leading or trailing whitespace"
 
 
 def _positive_floats(text: str) -> bool:
@@ -64,9 +70,9 @@ class RunConfig:
     """Every tunable of the artifact, with its config key and documented default."""
 
     seed: int = _key("run.seed", 0, ">= 0", lambda v: v >= 0)
-    out_dir: str = _key("run.out_dir", "runs/latest")
+    out_dir: str = _key("run.out_dir", "runs/latest", _REPARSEABLE, _reparseable)
 
-    data_root: str = _key("data.root", "")
+    data_root: str = _key("data.root", "", _REPARSEABLE, _reparseable)
     n_images: int = _key("data.n_images", 64, ">= 1", lambda v: v >= 1)
     image_size: int = _key("data.size", 32, ">= 8", lambda v: v >= 8)
     num_classes: int = _key("data.num_classes", 4, ">= 2", lambda v: v >= 2)
@@ -104,7 +110,7 @@ class RunConfig:
     class_weights: str = _key("loss.class_weights", "",
                               "empty or comma-separated finite floats > 0", _positive_floats)
 
-    checkpoint: str = _key("eval.checkpoint", "")
+    checkpoint: str = _key("eval.checkpoint", "", _REPARSEABLE, _reparseable)
 
     cost_geometry: str = _key("cost.geometry", "reference", allowed=("reference", "model"))
     cost_input_size: int = _key("cost.input_size", 256, ">= 1", lambda v: v >= 1)
@@ -271,10 +277,6 @@ def _version_string() -> str:
     return f"lfam-{__version__}"
 
 
-def _resolve_out_dir(cfg: RunConfig) -> Path:
-    return Path(os.environ.get(OUT_DIR_ENV) or cfg.out_dir)
-
-
 def _write_text(path: Path, text: str) -> None:
     replace_atomically(path, lambda p: p.write_text(text))
 
@@ -394,7 +396,7 @@ def dispatch(subcommand: str, cfg: RunConfig, json_output: bool = False) -> int:
         print(f"unknown subcommand {subcommand!r}; expected one of {', '.join(COMMANDS)}",
               file=sys.stderr)
         return EXIT_USAGE
-    out = _resolve_out_dir(cfg)
+    out = Path(cfg.out_dir)
     _write_provenance(out, cfg, subcommand)
     return COMMANDS[subcommand][1](cfg, out, json_output)
 
@@ -412,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (helptext, _) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="key=value config file (defaults apply without it)")
-        p.add_argument("--out", help=f"output directory (env {OUT_DIR_ENV} overrides)")
+        p.add_argument("--out", help="output directory (overrides run.out_dir)")
         if name == "cost":
             p.add_argument("--json", action="store_true",
                            help="emit the report as JSON instead of a table")

@@ -1,10 +1,9 @@
 """Dense 4-D tensors and a reverse-mode differentiation tape.
 
-Tensors are 4-D arrays indexed (batch, channels, height, width); their
-memory order is whatever the producing op left (conv outputs are
-channel-major).  Window tiles are the one other layout: window_split gives
-channel-last (n*N, m, m, c) tiles, which attention views as (n, N, m*m, c)
-rows without a copy, and window_merge takes the same layout back.
+Tensors are 4-D arrays, mostly indexed (batch, channels, height, width);
+their memory order is whatever the producing op left (conv outputs are
+channel-major).  The one other layout, attention's window tiles, is
+defined in lfam.attention together with the ops that enter and leave it.
 Operations executed while a Tape is active append nodes in creation
 order; leaf_grads() replays the nodes once, in reverse, and returns the
 gradient of every requires_grad tensor not produced on the tape, and
@@ -349,65 +348,6 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     ca = a.shape[1]
     return _apply("concat_channels", (a, b), np.concatenate([a.data, b.data], axis=1),
                   lambda g: (g[:, :ca], g[:, ca:]))
-
-
-def pad_bottom_right(a: Tensor, pad_h: int, pad_w: int) -> Tensor:
-    """Zero-pad the bottom and right edges; used to round maps up to window multiples."""
-    if pad_h < 0 or pad_w < 0:
-        raise ContractError(f"pad_bottom_right: negative padding ({pad_h}, {pad_w})")
-    _, _, h, w = a.shape
-    out = np.pad(a.data, ((0, 0), (0, 0), (0, pad_h), (0, pad_w)))
-    return _apply("pad_bottom_right", (a,), out, lambda g: (g[:, :, :h, :w],))
-
-
-def crop_top_left(a: Tensor, h: int, w: int) -> Tensor:
-    _, _, ah, aw = a.shape
-    if h > ah or w > aw:
-        raise ShapeError(f"crop_top_left: ({h}, {w}) exceeds map size {a.shape}")
-    return _apply("crop_top_left", (a,), a.data[:, :, :h, :w].copy(),
-                  lambda g: (np.pad(g, ((0, 0), (0, 0), (0, ah - h), (0, aw - w))),))
-
-
-def window_split(a: Tensor, m: int) -> Tensor:
-    """Partition (n, c, H, W) into disjoint m-by-m tiles, channel last: (n*N, m, m, c).
-
-    H and W must already be multiples of m; windows are ordered row-major
-    within each batch item, batch-major overall.  The tiles are contiguous,
-    so viewing them as (n, N, m*m, c) attention rows copies nothing.
-    """
-    n, c, hh, ww = a.shape
-    if hh % m or ww % m:
-        raise ShapeError(f"window_split: {a.shape} not tileable by m={m}")
-    return _apply("window_split", (a,), _map_to_tiles(a.data, m),
-                  lambda g: (_tiles_to_map(g, n, hh // m, ww // m),))
-
-
-def window_merge(a: Tensor, n: int, h: int, w: int) -> Tensor:
-    """Inverse of window_split: channel-last tiles (n*N, m, m, c) back to (n, c, h, w)."""
-    total, m, m2, c = a.shape
-    if m != m2:
-        raise ShapeError(f"window_merge: tiles must be square, got {a.shape}")
-    if h % m or w % m:
-        raise ShapeError(f"window_merge: ({h}, {w}) not a multiple of m={m}")
-    rows, cols = h // m, w // m
-    if total != n * rows * cols:
-        raise ShapeError(f"window_merge: {total} tiles cannot fill {n}x{h}x{w} with m={m}")
-    return _apply("window_merge", (a,), _tiles_to_map(a.data, n, rows, cols),
-                  lambda g: (_map_to_tiles(g, m),))
-
-
-def _map_to_tiles(x: np.ndarray, m: int) -> np.ndarray:
-    n, c, hh, ww = x.shape
-    return (x.reshape(n, c, hh // m, m, ww // m, m)
-            .transpose(0, 2, 4, 3, 5, 1)
-            .reshape(-1, m, m, c))
-
-
-def _tiles_to_map(tiles: np.ndarray, n: int, rows: int, cols: int) -> np.ndarray:
-    _, m, _, c = tiles.shape
-    return (tiles.reshape(n, rows, cols, m, m, c)
-            .transpose(0, 5, 1, 3, 2, 4)
-            .reshape(n, c, rows * m, cols * m))
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,15 @@ from lfam.attention import (
     ResidualSource,
     _project_pixels,
     _window_core,
+    crop_top_left,
     global_attention_oracle,
     init_lfam_params,
     lfam_attention,
     lfam_forward,
+    pad_bottom_right,
+    window_merge,
     window_partition,
+    window_split,
     windowed_reference,
 )
 from lfam.errors import (
@@ -81,6 +85,83 @@ class TestWindowPartition:
             window_partition(8, 8, 0)
         with pytest.raises(ConfigError):
             window_partition(0, 8, 3)
+
+
+# (h, w, m) of every fusion call in the benchmark workloads (desk32 m=4,
+# wide16 m=16, eval128 m=7; two levels each), plus a non-square map
+FUSION_GEOMETRIES = [(32, 32, 4), (16, 16, 4), (64, 64, 16), (32, 32, 16),
+                     (128, 128, 7), (64, 64, 7), (13, 30, 7)]
+
+# a 4x5 map padded unevenly, by (2, 1), to 6x6, and a 4x4 map cut into four
+# unpadded windows
+_GRID_PAD = window_partition(4, 5, 3)
+_GRID_2 = window_partition(4, 4, 2)
+
+
+class TestWindows:
+    """The window ops, each taking the grid that window_partition checked."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 4]))
+    @settings(max_examples=20, deadline=None)
+    def test_split_merge_roundtrip_bitwise(self, seed, m):
+        rng = make_rng(seed)
+        x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
+        grid = window_partition(8, 8, m)
+        back = window_merge(window_split(Tensor(x), grid), grid)
+        np.testing.assert_array_equal(back.data, x)
+
+    def test_window_contents_row_major(self):
+        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
+        w = window_split(Tensor(x), window_partition(4, 4, 2))
+        assert w.shape == (4, 2, 2, 1)
+        np.testing.assert_array_equal(w.data[0, :, :, 0], [[0, 1], [4, 5]])
+        np.testing.assert_array_equal(w.data[1, :, :, 0], [[2, 3], [6, 7]])
+        np.testing.assert_array_equal(w.data[2, :, :, 0], [[8, 9], [12, 13]])
+
+    @pytest.mark.parametrize("h, w, m", FUSION_GEOMETRIES)
+    def test_pad_split_merge_crop_is_the_identity(self, h, w, m):
+        x = make_rng(h * w + m).standard_normal((2, 3, h, w)).astype(np.float32)
+        grid = window_partition(h, w, m)
+        tiles = window_split(pad_bottom_right(Tensor(x), grid), grid)
+        assert tiles.shape == (2 * grid.n_windows, m, m, 3)
+        back = crop_top_left(window_merge(tiles, grid), grid)
+        assert back.shape == x.shape and back.dtype == x.dtype
+        assert back.data.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("h, w, m", FUSION_GEOMETRIES)
+    def test_key_mask_matches_the_former_formula(self, h, w, m):
+        grid = window_partition(h, w, m)
+        rows, cols = grid.rows, grid.cols
+        former = (grid.pad_mask.reshape(rows, m, cols, m)
+                  .transpose(0, 2, 1, 3)
+                  .reshape(rows * cols, 1, 1, m * m))
+        assert grid.key_mask.shape == former.shape and grid.key_mask.dtype == former.dtype
+        assert grid.key_mask.tobytes() == former.tobytes()
+        # the key mask marks exactly the tile positions a padded map of ones fills
+        ones = pad_bottom_right(Tensor(np.ones((1, 1, h, w))), grid)
+        np.testing.assert_array_equal(window_split(ones, grid).data.reshape(former.shape) == 1,
+                                      former)
+
+    # name -> (function of x, shape of x).  The padding is uneven, so a
+    # row/column swap in a vjp gives a wrongly shaped gradient; crop runs on
+    # its own too, because in pad_crop pad's vjp slices such a gradient back.
+    OPS = {
+        "pad_crop": (lambda x: sum_all(mul(crop_top_left(pad_bottom_right(x, _GRID_PAD), _GRID_PAD), x)),
+                     (2, 2, 4, 5)),
+        "crop": (lambda x: sum_all(pow_const(crop_top_left(x, _GRID_PAD), 2.0)), (2, 2, 6, 6)),
+        "windows": (lambda x: sum_all(pow_const(window_merge(window_split(x, _GRID_2), _GRID_2), 2.0)),
+                    (2, 2, 4, 4)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_gradients(self, name):
+        fn, shape = self.OPS[name]
+        worst = 0.0
+        for seed in range(3):
+            rng = make_rng(seed, stream=17)
+            x = Tensor(rng.standard_normal(shape) + 0.1, dtype=np.float64)
+            worst = max(worst, grad_check(fn, x, eps=1e-5))
+        assert worst < 1e-4, f"{name}: max relative error {worst}"
 
 
 class TestAgainstReferences:

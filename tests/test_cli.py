@@ -110,6 +110,16 @@ class TestEmitRoundTrip:
                         loss_kind="weighted_ce", class_weights="1.0,2.0,3.0")
         assert parse_config_text(emit_config(cfg)) == cfg
 
+    def test_free_strings_with_spaces_and_equals_parse_back(self):
+        cfg = RunConfig(out_dir="runs/a b=c", data_root="/data/my set", checkpoint="x=1.ckpt")
+        assert parse_config_text(emit_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("key", ["run.out_dir", "data.root", "eval.checkpoint"])
+    @pytest.mark.parametrize("value", ["/data/run#1", "a\nb", "a\rb", "a\u2028b", " lead", "trail\t"])
+    def test_free_string_that_would_not_parse_back_is_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(**{KEYS[key].name: value})
+
     def test_emitted_keys_are_sorted_and_complete(self):
         lines = emit_config(RunConfig()).strip().split("\n")
         keys = [ln.split("=")[0] for ln in lines]
@@ -422,12 +432,11 @@ class TestSubcommands:
         cfg = write_cfg(tmp_path, "lfam.local_range=0\n")
         assert main(["cost", "--config", cfg, "--out", str(tmp_path / "c")]) == EXIT_CONFIG
 
-    def test_env_var_overrides_out_dir(self, tmp_path, monkeypatch):
-        target = tmp_path / "env-out"
-        monkeypatch.setenv("LFAM_OUT_DIR", str(target))
-        assert main(["cost", "--out", str(tmp_path / "ignored")]) == EXIT_OK
-        assert (target / "config.txt").exists()
-        assert not (tmp_path / "ignored").exists()
+    def test_out_path_that_would_not_parse_back_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "run#1"
+        assert main(["cost", "--out", str(out)]) == EXIT_CONFIG
+        assert "config error: run.out_dir must be free of '#'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dispatch_rejects_unknown_command_without_side_effects(self, tmp_path, capsys):
         cfg = RunConfig(out_dir=str(tmp_path / "d"))
@@ -482,7 +491,7 @@ usage: lfam {name} [-h] [--config CONFIG] [--out OUT]{json_usage}
 options:
   -h, --help       show this help message and exit
   --config CONFIG  key=value config file (defaults apply without it)
-  --out OUT        output directory (env LFAM_OUT_DIR overrides)
+  --out OUT        output directory (overrides run.out_dir)
 {json_line}"""
 
 

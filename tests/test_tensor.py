@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lfam.errors import ContractError, DegenerateWindowError, NumericalError, ShapeError
@@ -18,13 +18,11 @@ from lfam.tensor import (
     backward,
     bmm,
     concat_channels,
-    crop_top_left,
     div,
     grad_check,
     log,
     masked_softmax,
     mul,
-    pad_bottom_right,
     permute,
     pow_const,
     relu,
@@ -35,8 +33,6 @@ from lfam.tensor import (
     sum_axes,
     tensor_from_bytes,
     tensor_to_bytes,
-    window_merge,
-    window_split,
 )
 
 
@@ -154,6 +150,7 @@ class TestMatmul:
         np.testing.assert_allclose(got, matmul_oracle(a, b))
 
     @given(st.integers(0, 2**32 - 1))
+    @example(seed=305)  # an element of -8.3e-06 after cancellation
     @settings(max_examples=20, deadline=None)
     def test_matches_triple_loop(self, seed):
         rng = make_rng(seed)
@@ -161,7 +158,10 @@ class TestMatmul:
         a = rng.standard_normal((r, k))
         b = rng.standard_normal((k, c))
         got = bmm(Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64)).data[0, 0]
-        np.testing.assert_allclose(got, matmul_oracle(a, b), rtol=1e-12)
+        # each side is a k-term dot product within about k*eps/2 * (|a| @ |b|)
+        # of the exact value, however much the sum cancels; allow twice their sum
+        bound = 2 * k * np.finfo(np.float64).eps * (np.abs(a) @ np.abs(b))
+        assert (np.abs(got - matmul_oracle(a, b)) <= bound).all()
 
     def test_inner_dim_mismatch_names_both_shapes(self):
         a = Tensor(np.zeros((1, 1, 2, 3)))
@@ -489,8 +489,6 @@ class TestGradCheck:
         "sum_axes": lambda x: sum_all(mul(sum_axes(x, (1, 2)), sum_axes(x, (0, 3)))),
         "reshape": lambda x: sum_all(mul(reshape(x, (1, 1, 4, int(x.size // 4))), reshape(x, (1, 1, 4, int(x.size // 4))))),
         "permute": lambda x: sum_all(mul(permute(x, (1, 0, 3, 2)), permute(x, (1, 0, 3, 2)))),
-        "pad_crop": lambda x: sum_all(mul(crop_top_left(pad_bottom_right(x, 2, 1), x.shape[2], x.shape[3]), x)),
-        "windows": lambda x: sum_all(pow_const(window_merge(window_split(x, 2), x.shape[0], x.shape[2], x.shape[3]), 2.0)),
         "softmax": lambda x: sum_all(pow_const(softmax(x), 2.0)),
         "masked_softmax": lambda x: sum_all(pow_const(masked_softmax(x, _MASK[: x.shape[0]]), 2.0)),
     }
@@ -538,29 +536,6 @@ class TestGradCheck:
 
 _MASK = np.ones((2, 2, 4, 4), dtype=bool)
 _MASK[..., 3] = False
-
-
-class TestWindows:
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 4]))
-    @settings(max_examples=20, deadline=None)
-    def test_split_merge_roundtrip_bitwise(self, seed, m):
-        rng = make_rng(seed)
-        x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
-        t = Tensor(x)
-        back = window_merge(window_split(t, m), 2, 8, 8)
-        np.testing.assert_array_equal(back.data, x)
-
-    def test_window_contents_row_major(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        w = window_split(Tensor(x), 2)
-        assert w.shape == (4, 2, 2, 1)
-        np.testing.assert_array_equal(w.data[0, :, :, 0], [[0, 1], [4, 5]])
-        np.testing.assert_array_equal(w.data[1, :, :, 0], [[2, 3], [6, 7]])
-        np.testing.assert_array_equal(w.data[2, :, :, 0], [[8, 9], [12, 13]])
-
-    def test_indivisible_shape_rejected(self):
-        with pytest.raises(ShapeError):
-            window_split(Tensor(np.zeros((1, 1, 6, 6))), 4)
 
 
 class TestSerialization:
