@@ -9,10 +9,10 @@ right; padded key positions receive exactly zero attention weight and
 padded query rows are cropped away at the end.
 
 The window layout lives here too: window_partition checks a tiling once,
-as a WindowGrid, and pad_bottom_right, window_split (channel-last
-(n*N, m, m, c) tiles, viewed as (n, N, m*m, c) rows without a copy),
-window_merge and crop_top_left take that grid.  The tile order is written
-once, in _map_to_tiles, which also builds the key mask.
+as a WindowGrid, and pad_bottom_right, window_split (to the channel-last
+(n, N, m*m, c) rows the core reads), window_merge (from them) and
+crop_top_left take that grid.  The row order is written once, in
+_map_to_rows, which also builds the key mask.
 
 Two independent references live here as well: a per-window direct
 evaluation with explicit score matrices, and a global all-pairs oracle for
@@ -39,7 +39,7 @@ from .tensor import (
     bmm,
     masked_softmax,
     permute,
-    reshape,
+    reshape,  # not called here: perfbench's tracer wraps lfam.attention.reshape by name
 )
 
 # the global oracle is quadratic in pixel count; refuse anything big
@@ -118,24 +118,23 @@ def window_partition(h: int, w: int, m: int) -> WindowGrid:
     cols = -(-w // m)
     pad_mask = np.zeros((rows * m, cols * m), dtype=bool)
     pad_mask[:h, :w] = True
-    key_mask = _map_to_tiles(pad_mask[None, None], m).reshape(rows * cols, 1, 1, m * m)
+    key_mask = _map_to_rows(pad_mask[None, None], m).reshape(rows * cols, 1, 1, m * m)
     return WindowGrid(h=h, w=w, m=m, rows=rows, cols=cols,
                       n_windows=rows * cols, pad_mask=pad_mask, key_mask=key_mask)
 
 
-def _map_to_tiles(x: np.ndarray, m: int) -> np.ndarray:
-    """(n, c, rows*m, cols*m) map -> (n*rows*cols, m, m, c) tiles, batch-major, row-major."""
+def _map_to_rows(x: np.ndarray, m: int) -> np.ndarray:
+    """(n, c, rows*m, cols*m) map -> (n, rows*cols, m*m, c) window rows, row-major throughout."""
     n, c, hh, ww = x.shape
     return (x.reshape(n, c, hh // m, m, ww // m, m)
             .transpose(0, 2, 4, 3, 5, 1)
-            .reshape(-1, m, m, c))
+            .reshape(n, -1, m * m, c))
 
 
-def _tiles_to_map(tiles: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of _map_to_tiles: tiles of rows x cols windows per image back to the map."""
-    _, m, _, c = tiles.shape
-    n = len(tiles) // (rows * cols)
-    return (tiles.reshape(n, rows, cols, m, m, c)
+def _rows_to_map(r: np.ndarray, rows: int, cols: int, m: int) -> np.ndarray:
+    """Inverse of _map_to_rows: rows of rows x cols windows per image back to the map."""
+    n, _, _, c = r.shape
+    return (r.reshape(n, rows, cols, m, m, c)
             .transpose(0, 5, 1, 3, 2, 4)
             .reshape(n, c, rows * m, cols * m))
 
@@ -152,17 +151,17 @@ def pad_bottom_right(a: Tensor, grid: WindowGrid) -> Tensor:
 
 
 def window_split(a: Tensor, grid: WindowGrid) -> Tensor:
-    """Cut an (n, c, rows*m, cols*m) map into contiguous channel-last tiles (n*N, m, m, c)."""
-    rows, cols = grid.rows, grid.cols
-    return _apply("window_split", (a,), _map_to_tiles(a.data, grid.m),
-                  lambda g: (_tiles_to_map(g, rows, cols),))
+    """Cut an (n, c, rows*m, cols*m) map into contiguous channel-last window rows (n, N, m*m, c)."""
+    rows, cols, m = grid.rows, grid.cols, grid.m
+    return _apply("window_split", (a,), _map_to_rows(a.data, m),
+                  lambda g: (_rows_to_map(g, rows, cols, m),))
 
 
-def window_merge(tiles: Tensor, grid: WindowGrid) -> Tensor:
-    """Inverse of window_split: tiles (n*N, m, m, c) back to (n, c, rows*m, cols*m)."""
+def window_merge(r: Tensor, grid: WindowGrid) -> Tensor:
+    """Inverse of window_split: window rows (n, N, m*m, c) back to (n, c, rows*m, cols*m)."""
     m = grid.m
-    return _apply("window_merge", (tiles,), _tiles_to_map(tiles.data, grid.rows, grid.cols),
-                  lambda g: (_map_to_tiles(g, m),))
+    return _apply("window_merge", (r,), _rows_to_map(r.data, grid.rows, grid.cols, m),
+                  lambda g: (_map_to_rows(g, m),))
 
 
 def crop_top_left(a: Tensor, grid: WindowGrid) -> Tensor:
@@ -342,7 +341,7 @@ def _fuse(encoder: Tensor, decoder: Tensor, params: LfamParams, cfg: LfamConfig,
           keep_p: bool) -> tuple[Tensor, WindowGrid, np.ndarray | None]:
     """Fused map, window grid and P; P is None when neither keep_p nor a tape needs it."""
     _validate_pair(encoder, decoder, params, cfg)
-    n, c, h, w = encoder.shape
+    h, w = encoder.shape[2:]
     m = cfg.local_range
     d = params.proj_channels
     grid = window_partition(h, w, m)
@@ -352,20 +351,16 @@ def _fuse(encoder: Tensor, decoder: Tensor, params: LfamParams, cfg: LfamConfig,
     k = conv2d(kv_src, params.key)
     v = conv2d(kv_src, params.value)
 
-    nw, mm = grid.n_windows, m * m
-
     def rows_of(t: Tensor) -> Tensor:
-        if grid.padded:
-            t = pad_bottom_right(t, grid)
-        return reshape(window_split(t, grid), (n, nw, mm, d))  # a view of the tiles
+        return window_split(pad_bottom_right(t, grid) if grid.padded else t, grid)
 
-    # unpadded windows have only real keys; otherwise the (nw, 1, 1, mm) key
-    # mask, viewed as (1, nw, 1, mm), broadcasts over batch and query rows
-    mask = grid.key_mask.reshape(1, nw, 1, mm) if grid.padded else None
+    # unpadded windows have only real keys; otherwise the (N, 1, 1, m*m) key
+    # mask, viewed as (1, N, 1, m*m), broadcasts over batch and query rows
+    mask = grid.key_mask.reshape(1, grid.n_windows, 1, m * m) if grid.padded else None
     scale = float(1.0 / np.sqrt(d)) if cfg.scale_logits else None  # keeps float32 data float32
     gathered, weights = _window_core(rows_of(q), rows_of(k), rows_of(v), mask, scale, keep_p)
 
-    fused = window_merge(reshape(gathered, (n * nw, m, m, d)), grid)
+    fused = window_merge(gathered, grid)
     if grid.padded:
         fused = crop_top_left(fused, grid)
 

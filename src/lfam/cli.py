@@ -172,6 +172,8 @@ def _weight_count_error(count: int, num_classes: int) -> str | None:
 def _value_error(f: Field, value) -> str | None:
     """Why value is not allowed for f's key, or None when it is."""
     key, allowed, check = f.metadata["key"], f.metadata["allowed"], f.metadata["check"]
+    if isinstance(value, float) and not math.isfinite(value):  # inf passes "> 0" and ">= 0"
+        return f"{key} must be finite, got {value!r}"
     if allowed and value not in allowed:
         return f"{key} must be one of {', '.join(allowed)}, got {value!r}"
     if check is not None and not check(value):

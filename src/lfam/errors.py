@@ -50,7 +50,9 @@ class PgmError(ContractError, OSError):
 
 class DatasetError(ContractError, OSError):
     """A dataset directory is unusable: an image without its mask or the reverse,
-    or a mask holding a label outside [0, num_classes).
+    a mask holding a label outside [0, num_classes), an image with a side that
+    is not a multiple of 2**depth or is below the tile, or, untiled, an image
+    whose size differs from the first image's.
 
     It is an OSError, so the CLI reports it as a file error (exit 4).
     """

@@ -2,7 +2,7 @@
 
 Tensors are 4-D arrays, mostly indexed (batch, channels, height, width);
 their memory order is whatever the producing op left (conv outputs are
-channel-major).  The one other layout, attention's window tiles, is
+channel-major).  The one other layout, attention's window rows, is
 defined in lfam.attention together with the ops that enter and leave it.
 Operations executed while a Tape is active append nodes in creation
 order; leaf_grads() replays the nodes once, in reverse, and returns the

@@ -307,8 +307,8 @@ class TrainConfig:
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError(f"need epochs >= 0 and batch_size >= 1, "
                               f"got {self.epochs}, {self.batch_size}")
-        if self.lr_base <= 0:
-            raise ConfigError(f"lr_base must be positive, got {self.lr_base}")
+        if not (self.lr_base > 0 and np.isfinite(self.lr_base)):
+            raise ConfigError(f"lr_base must be positive and finite, got {self.lr_base}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"optimizer must be sgd or adam, got {self.optimizer!r}")
         if self.schedule not in ("cosine", "constant"):

@@ -93,9 +93,10 @@ FUSION_GEOMETRIES = [(32, 32, 4), (16, 16, 4), (64, 64, 16), (32, 32, 16),
                      (128, 128, 7), (64, 64, 7), (13, 30, 7)]
 
 # a 4x5 map padded unevenly, by (2, 1), to 6x6, and a 4x4 map cut into four
-# unpadded windows
+# unpadded windows, with fixed weights on its (2, 4, 4, 2) window rows
 _GRID_PAD = window_partition(4, 5, 3)
 _GRID_2 = window_partition(4, 4, 2)
+_ROW_WEIGHTS = Tensor(make_rng(5).standard_normal((2, 4, 4, 2)))
 
 
 class TestWindows:
@@ -110,21 +111,25 @@ class TestWindows:
         back = window_merge(window_split(Tensor(x), grid), grid)
         np.testing.assert_array_equal(back.data, x)
 
-    def test_window_contents_row_major(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        w = window_split(Tensor(x), window_partition(4, 4, 2))
-        assert w.shape == (4, 2, 2, 1)
-        np.testing.assert_array_equal(w.data[0, :, :, 0], [[0, 1], [4, 5]])
-        np.testing.assert_array_equal(w.data[1, :, :, 0], [[2, 3], [6, 7]])
-        np.testing.assert_array_equal(w.data[2, :, :, 0], [[8, 9], [12, 13]])
+    def test_window_rows_row_major(self):
+        # two images, two channels: image b's window w is row [b, w], its
+        # pixels in row-major order, channel last
+        x = np.arange(64, dtype=np.float32).reshape(2, 2, 4, 4)
+        r = window_split(Tensor(x), window_partition(4, 4, 2))
+        assert r.shape == (2, 4, 4, 2) and r.data.flags.c_contiguous
+        np.testing.assert_array_equal(r.data[0, 0, :, 0], [0, 1, 4, 5])
+        np.testing.assert_array_equal(r.data[0, 1, :, 0], [2, 3, 6, 7])
+        np.testing.assert_array_equal(r.data[0, 2, :, 0], [8, 9, 12, 13])
+        np.testing.assert_array_equal(r.data[0, 3, :, 1], [26, 27, 30, 31])
+        np.testing.assert_array_equal(r.data[1, 1, :, 0], [34, 35, 38, 39])
 
     @pytest.mark.parametrize("h, w, m", FUSION_GEOMETRIES)
     def test_pad_split_merge_crop_is_the_identity(self, h, w, m):
         x = make_rng(h * w + m).standard_normal((2, 3, h, w)).astype(np.float32)
         grid = window_partition(h, w, m)
-        tiles = window_split(pad_bottom_right(Tensor(x), grid), grid)
-        assert tiles.shape == (2 * grid.n_windows, m, m, 3)
-        back = crop_top_left(window_merge(tiles, grid), grid)
+        r = window_split(pad_bottom_right(Tensor(x), grid), grid)
+        assert r.shape == (2, grid.n_windows, m * m, 3)
+        back = crop_top_left(window_merge(r, grid), grid)
         assert back.shape == x.shape and back.dtype == x.dtype
         assert back.data.tobytes() == x.tobytes()
 
@@ -137,7 +142,7 @@ class TestWindows:
                   .reshape(rows * cols, 1, 1, m * m))
         assert grid.key_mask.shape == former.shape and grid.key_mask.dtype == former.dtype
         assert grid.key_mask.tobytes() == former.tobytes()
-        # the key mask marks exactly the tile positions a padded map of ones fills
+        # the key mask marks exactly the row positions a padded map of ones fills
         ones = pad_bottom_right(Tensor(np.ones((1, 1, h, w))), grid)
         np.testing.assert_array_equal(window_split(ones, grid).data.reshape(former.shape) == 1,
                                       former)
@@ -145,12 +150,14 @@ class TestWindows:
     # name -> (function of x, shape of x).  The padding is uneven, so a
     # row/column swap in a vjp gives a wrongly shaped gradient; crop runs on
     # its own too, because in pad_crop pad's vjp slices such a gradient back.
+    # The rows are weighted per entry, so a split or merge vjp that put a
+    # pixel in another row position would show.
     OPS = {
         "pad_crop": (lambda x: sum_all(mul(crop_top_left(pad_bottom_right(x, _GRID_PAD), _GRID_PAD), x)),
                      (2, 2, 4, 5)),
         "crop": (lambda x: sum_all(pow_const(crop_top_left(x, _GRID_PAD), 2.0)), (2, 2, 6, 6)),
-        "windows": (lambda x: sum_all(pow_const(window_merge(window_split(x, _GRID_2), _GRID_2), 2.0)),
-                    (2, 2, 4, 4)),
+        "windows": (lambda x: sum_all(pow_const(
+            window_merge(mul(window_split(x, _GRID_2), _ROW_WEIGHTS), _GRID_2), 2.0)), (2, 2, 4, 4)),
     }
 
     @pytest.mark.parametrize("name", sorted(OPS))
@@ -344,14 +351,23 @@ class TestResidualAndShape:
 
 
 class TestTapeSize:
-    def test_unpadded_call_records_thirteen_nodes(self):
-        # 3 projections, 3 x (split, view), window core, view, merge,
-        # residual add
+    @staticmethod
+    def _ops(side, m):
         rng = make_rng(36)
-        enc, dec = random_pair(rng, c=4, h=8, w=8, dtype=np.float32)
+        enc, dec = random_pair(rng, c=4, h=side, w=side, dtype=np.float32)
         with Tape() as tape:
-            lfam_forward(enc, dec, init_lfam_params(4, rng), LfamConfig(local_range=4))
-        assert len(tape.nodes) == 13
+            lfam_forward(enc, dec, init_lfam_params(4, rng), LfamConfig(local_range=m))
+        return [node.op for node in tape.nodes]
+
+    def test_unpadded_call_records_nine_nodes(self):
+        # 3 projections, 3 splits, window core, merge, residual add
+        assert self._ops(8, 4) == ["conv2d"] * 3 + ["window_split"] * 3 + [
+            "window_attention", "window_merge", "add"]
+
+    def test_padded_call_records_thirteen_nodes(self):
+        # 3 projections, 3 x (pad, split), window core, merge, crop, residual add
+        assert self._ops(7, 4) == ["conv2d"] * 3 + ["pad_bottom_right", "window_split"] * 3 + [
+            "window_attention", "window_merge", "crop_top_left", "add"]
 
 
 class TestWindowCore:

@@ -3,6 +3,7 @@ end-to-end subcommand runs through main()."""
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -33,6 +34,12 @@ from lfam.cli import (
 )
 from lfam.data import gen_synthetic, read_pgm, save_dataset, write_pgm
 from lfam.errors import ConfigError
+
+
+# every float-valued key, and those whose "> 0" or ">= 0" check alone lets inf through
+FLOAT_KEYS = sorted(key for key, f in KEYS.items() if type(f.default) is float)
+UNBOUNDED_FLOAT_KEYS = ["train.lr_base", "loss.gamma", "loss.alpha", "loss.focal_weight",
+                        "loss.iou_weight"]
 
 
 class TestParseConfig:
@@ -86,6 +93,12 @@ class TestParseConfig:
         # every data source is single-channel, so the width is not a setting
         with pytest.raises(ConfigError, match=":1:.*unknown key.*unet\\.in_channels"):
             parse_config_text("unet.in_channels=3\n")
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+    def test_non_finite_float_names_the_key_and_line(self, key, text):
+        with pytest.raises(ConfigError, match=f":2: {re.escape(key)} must be finite, got {text}"):
+            parse_config_text(f"run.seed=1\n{key}={text}\n")
 
     def test_parse_from_file(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -227,6 +240,16 @@ class TestSubcommands:
         out = tmp_path / "out"
         assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert f"{cfg}:{line}: loss.class_weights has 3 entries for 2 classes" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", UNBOUNDED_FLOAT_KEYS)
+    def test_infinite_float_is_config_error_before_any_output(self, tmp_path, capsys, key):
+        text = SMALL_TRAIN + f"{key}=inf\n"
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        line = len(text.splitlines())
+        assert f"{cfg}:{line}: {key} must be finite, got inf" in capsys.readouterr().err
         assert not out.exists()
 
     def test_eval_without_checkpoint_is_config_error(self, tmp_path):

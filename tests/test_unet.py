@@ -277,7 +277,7 @@ class TestShardedForward:
         model = build_unet(bench_cfg(m=4), seed=46)
         with Tape() as tape:
             forward(model, images(8, 32, seed=47))
-        assert len(tape.nodes) == 51
+        assert len(tape.nodes) == 43
 
     def test_substituted_fusion_runs_in_the_calling_thread(self, no_helper):
         callers = []
@@ -446,7 +446,20 @@ class TestShardedStep:
     def test_substituted_fusion_records_the_serial_step(self, no_helper):
         model, x, target = wide16_batch(4, 74)
         tape, _, _, _ = taped_step(model, x, target, lambda t: forward(model, t, lfam_forward))
-        assert len(tape.nodes) == 68
+        assert len(tape.nodes) == 60
+
+    def test_each_shard_sub_tape_records_the_serial_forward(self, helper, monkeypatch):
+        made = []
+
+        class RecordedTape(Tape):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(unet, "Tape", RecordedTape)
+        model, x, target = wide16_batch(4, 78)
+        taped_step(model, x, target)
+        assert [len(t.nodes) for t in made] == [43, 43]
 
     @pytest.mark.parametrize("bad", [0, 3], ids=["first_half", "second_half"])
     def test_nonfinite_image_raises_and_records_nothing(self, helper, bad):
