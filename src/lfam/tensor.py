@@ -51,7 +51,8 @@ class Tensor:
     list behaves as a (1, 1, r, c) matrix.  Tensors are immutable after
     construction except for gradient accumulation into .grad (and parameter
     updates, which require exclusive access).  backward fills .grad only on
-    tensors not produced on the tape, such as parameters and inputs.
+    tensors not produced on the tape, such as parameters and inputs; a model's
+    parameters' .data and .grad are views of unet.ModelState's flat buffers.
     """
 
     __slots__ = ("data", "requires_grad", "grad")

@@ -57,8 +57,8 @@ class FocalIouLoss:
 
     def __post_init__(self):
         for name in ("gamma", "alpha", "focal_weight", "iou_weight"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ class WeightedCeLoss:
     class_weights: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if any(w <= 0 for w in self.class_weights):
-            raise ConfigError(f"class weights must be strictly positive, got {self.class_weights}")
+        if not all(0 < w < np.inf for w in self.class_weights):
+            raise ConfigError(f"class weights must be positive and finite, got {self.class_weights}")
 
 
 LossConfig = FocalIouLoss | WeightedCeLoss
@@ -127,8 +127,7 @@ def weighted_ce(logits: Tensor, target: np.ndarray, class_weights) -> Tensor:
     k = logits.shape[1]
     if weights.shape != (k,):
         raise ConfigError(f"need {k} class weights, got shape {weights.shape}")
-    if (weights <= 0).any():
-        raise ConfigError("class weights must be strictly positive")
+    WeightedCeLoss(tuple(weights.tolist()))  # checks each weight
     onehot = Tensor(_one_hot(target, k, logits.dtype))
     p = softmax(logits)
     pt = sum_axes(mul(p, onehot), (1,))
@@ -157,8 +156,8 @@ class ScheduleState:
     kind: str = "cosine"
 
     def __post_init__(self):
-        if self.lr_base <= 0:
-            raise ConfigError(f"lr_base must be positive, got {self.lr_base}")
+        if not 0 < self.lr_base < np.inf:
+            raise ConfigError(f"lr_base must be positive and finite, got {self.lr_base}")
         if self.max_epoch < 1 or not (0 <= self.epoch <= self.max_epoch):
             raise ConfigError(f"need 0 <= epoch <= max_epoch, got {self.epoch}/{self.max_epoch}")
         if self.kind not in ("cosine", "constant"):
@@ -178,7 +177,7 @@ def cosine_lr(s: ScheduleState) -> float:
 @dataclass
 class SgdState:
     momentum: float = 0.9
-    velocity: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    velocity: np.ndarray | None = field(default=None, repr=False)
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -187,14 +186,16 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 @dataclass
 class AdamState:
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
-    v: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    m: np.ndarray | None = field(default=None, repr=False)
+    v: np.ndarray | None = field(default=None, repr=False)
 
 
 OptimState = SgdState | AdamState
 
 
 def init_optimizer(kind: str, momentum: float = 0.9) -> OptimState:
+    if not 0 <= momentum < 1:
+        raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
     if kind == "sgd":
         return SgdState(momentum=momentum)
     if kind == "adam":
@@ -202,9 +203,16 @@ def init_optimizer(kind: str, momentum: float = 0.9) -> OptimState:
     raise ConfigError(f"optimizer must be sgd or adam, got {kind!r}")
 
 
+def _flat_state(state: np.ndarray | None, g: np.ndarray) -> np.ndarray:
+    """A flat optimizer state (None before the first step, then zeros) that covers g."""
+    if state is not None and state.size != g.size:
+        raise ContractError(f"optimizer state holds {state.size} values, the gradients {g.size}")
+    return np.zeros_like(g) if state is None else state
+
+
 def optimizer_step(opt: OptimState, params: dict[str, Tensor],
                    grads: dict[str, np.ndarray], lr: float) -> None:
-    """Update every parameter in place from its gradient."""
+    """Update every parameter in place, elementwise over the gradients gathered flat."""
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -212,28 +220,21 @@ def optimizer_step(opt: OptimState, params: dict[str, Tensor],
         if g.shape != p.data.shape:
             raise ContractError(f"gradient shape {g.shape} does not match "
                                 f"parameter {name!r} shape {p.data.shape}")
+    g = np.concatenate([grads[name].ravel() for name in params])
     if isinstance(opt, SgdState):
-        for name, p in params.items():
-            v = opt.velocity.get(name)
-            if v is None:
-                v = np.zeros_like(p.data)
-            v = opt.momentum * v + grads[name]
-            opt.velocity[name] = v
-            p.data[...] -= lr * v
-        return
-    opt.step += 1
-    c1 = 1.0 - ADAM_BETA1 ** opt.step
-    c2 = 1.0 - ADAM_BETA2 ** opt.step
-    for name, p in params.items():
-        g = grads[name]
-        m = opt.m.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            opt.v[name] = np.zeros_like(p.data)
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * opt.v[name] + (1.0 - ADAM_BETA2) * g * g
-        opt.m[name], opt.v[name] = m, v
-        p.data[...] -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        opt.velocity = opt.momentum * _flat_state(opt.velocity, g) + g
+        step = lr * opt.velocity
+    else:
+        opt.step += 1
+        c1 = 1.0 - ADAM_BETA1 ** opt.step
+        c2 = 1.0 - ADAM_BETA2 ** opt.step
+        opt.m = ADAM_BETA1 * _flat_state(opt.m, g) + (1.0 - ADAM_BETA1) * g
+        opt.v = ADAM_BETA2 * _flat_state(opt.v, g) + (1.0 - ADAM_BETA2) * g * g
+        step = lr * (opt.m / c1) / (np.sqrt(opt.v / c2) + ADAM_EPS)
+    offset = 0
+    for p in params.values():
+        p.data[...] -= step[offset:offset + p.size].reshape(p.shape)
+        offset += p.size
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +308,8 @@ class TrainConfig:
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError(f"need epochs >= 0 and batch_size >= 1, "
                               f"got {self.epochs}, {self.batch_size}")
-        if not (self.lr_base > 0 and np.isfinite(self.lr_base)):
-            raise ConfigError(f"lr_base must be positive and finite, got {self.lr_base}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"optimizer must be sgd or adam, got {self.optimizer!r}")
-        if self.schedule not in ("cosine", "constant"):
-            raise ConfigError(f"schedule must be cosine or constant, got {self.schedule!r}")
+        init_optimizer(self.optimizer, self.momentum)  # the states train_loop builds
+        ScheduleState(self.lr_base, 0, 1, self.schedule)  # check the rest
 
 
 @dataclass(frozen=True)
@@ -335,7 +332,7 @@ class RunLog:
     records: list[EpochRecord]
     best_epoch: int = -1
     best_val_mean_iou: float = float("nan")
-    best_params: dict[str, np.ndarray] | None = field(default=None, repr=False)
+    best_params: np.ndarray | None = field(default=None, repr=False)  # a copy of ModelState.data
 
     def lines(self) -> list[str]:
         return [format_epoch_line(r) for r in self.records]
@@ -364,6 +361,8 @@ def evaluate(model: ModelState, images, batch_size: int = 8) -> tuple[np.ndarray
     for start in range(0, len(images), batch_size):
         x, t = _stack_batch(images[start:start + batch_size])
         logits = forward(model, x)
+        if not (np.isfinite(logits.data.min()) and np.isfinite(logits.data.max())):
+            raise NumericalError(f"non-finite logits in the evaluation batch at image {start}")
         acc.update(predict_labels(logits), t)
     return mean_iou(acc)
 
@@ -420,10 +419,10 @@ def train_loop(model: ModelState, data, cfg: TrainConfig, out_dir=None) -> RunLo
         if run.best_params is None or miou > run.best_val_mean_iou or not val_images:
             run.best_epoch = epoch
             run.best_val_mean_iou = miou
-            run.best_params = {name: p.data.copy() for name, p in model.params.items()}
+            run.best_params = model.data.copy()
 
     if run.best_params is not None:
-        model.load_arrays(run.best_params)
+        model.data[...] = run.best_params
     if out_dir is not None:
         _write_run_outputs(out_dir, model, run)
     return run

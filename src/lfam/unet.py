@@ -6,10 +6,10 @@ either channel concatenation, windowed attention (which replaces the
 concat, so the following convs see C channels, not 2C), or nothing.
 Channel width doubles per level: base * 2^i, bottleneck base * 2^depth.
 
-ModelState carries an insertion-ordered flat name -> Tensor map used by
-optimizers and checkpoints, plus the structured layer objects used by
-forward.  Checkpoints refuse to load into a differently-shaped network by
-comparing an architecture fingerprint.
+ModelState carries the structured layer objects used by forward and an
+insertion-ordered name -> Tensor map, used by optimizers and checkpoints, whose
+values and gradients live in two flat buffers.  Checkpoints refuse to load into
+a differently-shaped network by comparing an architecture fingerprint.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ import hashlib
 import os
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .attention import LfamConfig, LfamParams, init_lfam_params, lfam_forward
+from .attention import LfamConfig, init_lfam_params, lfam_forward
 from .costmodel import attention_flops_local, fusion_levels
 from .errors import CheckpointError, ConfigError, ContractError, ShapeError
-from .ops import ConvParams, NormParams, channel_norm, conv2d, he_conv, init_norm, maxpool2x2, upconv2x2
+from .ops import ConvParams, channel_norm, conv2d, he_conv, init_norm, maxpool2x2, upconv2x2
 from .rng import make_rng
 from .tensor import (Tape, Tensor, _active_tape, _apply, concat_channels, leaf_grads, relu,
                      tensor_from_bytes, tensor_to_bytes)
@@ -95,25 +95,36 @@ def config_fingerprint(cfg: UNetConfig) -> str:
 
 @dataclass(eq=False)
 class ModelState:
+    """Layers and named parameters.  data and grad hold every parameter's values
+    and gradient, flat, in params order and the parameters' one dtype; each
+    parameter Tensor's .data and .grad are views of them, never rebound."""
+
     config: UNetConfig
     layers: dict[str, object]
     params: dict[str, Tensor] = field(repr=False)
     fingerprint: str = ""
+    data: np.ndarray = field(init=False, repr=False)
+    grad: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.data = np.concatenate([t.data.ravel() for t in self.params.values()])
+        if any(t.dtype != self.data.dtype for t in self.params.values()):
+            raise ContractError("parameters must share one dtype, got "
+                                f"{sorted({str(t.dtype) for t in self.params.values()})}")
+        self.grad = np.zeros_like(self.data)
+        ends = np.cumsum([t.size for t in self.params.values()])[:-1]
+        for t, d, g in zip(self.params.values(), np.split(self.data, ends), np.split(self.grad, ends)):
+            t.data, t.grad = d.reshape(t.shape), g.reshape(t.shape)
 
     def zero_grads(self) -> None:
-        for t in self.params.values():
-            t.zero_grad()
+        self.grad.fill(0)
 
     def parameter_count(self) -> int:
-        return sum(t.size for t in self.params.values())
+        return self.data.size
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy named arrays into the parameter Tensors' data in place.
-
-        The Tensors stay the same objects, so the layers forward reads see
-        the new values.  The names must be exactly this model's parameters,
-        each with its parameter's shape; nothing is written unless all match.
-        """
+        """Copy arrays named and shaped as this model's parameters into data.
+        On any mismatch it raises and writes nothing."""
         unknown = sorted(arrays.keys() - self.params.keys())
         missing = sorted(self.params.keys() - arrays.keys())
         if unknown or missing:
@@ -123,8 +134,7 @@ class ModelState:
             if np.shape(arrays[name]) != t.shape:
                 raise ShapeError(f"parameter {name!r} has shape {np.shape(arrays[name])}, "
                                  f"expected {t.shape}")
-        for name, t in self.params.items():
-            t.data[...] = arrays[name]
+        self.data[...] = np.concatenate([np.ravel(arrays[name]) for name in self.params])
 
 
 def _fusion_in_channels(cfg: UNetConfig, i: int) -> int:
@@ -135,6 +145,13 @@ def _fusion_in_channels(cfg: UNetConfig, i: int) -> int:
     if s.kind == "none":
         return width
     return s.lfam.proj_channels or width
+
+
+def _named_tensors(prefix: str, layer):
+    """(name, Tensor) per Tensor field of a layer, nested ones too: dec0.fuse.query.weight."""
+    for f in fields(layer):
+        value, name = getattr(layer, f.name), f"{prefix}.{f.name}"
+        yield from [(name, value)] if isinstance(value, Tensor) else _named_tensors(name, value)
 
 
 def build_unet(cfg: UNetConfig, seed: int, dtype=np.float32) -> ModelState:
@@ -170,19 +187,7 @@ def build_unet(cfg: UNetConfig, seed: int, dtype=np.float32) -> ModelState:
         conv_block(f"dec{i}", _fusion_in_channels(cfg, i), width)
     layers["head"] = he_conv(cfg.level_width(0), cfg.num_classes, 1, rng(), dtype=dtype)
 
-    params: dict[str, Tensor] = {}
-    for name, layer in layers.items():
-        if isinstance(layer, ConvParams):
-            params[f"{name}.weight"] = layer.weight
-            params[f"{name}.bias"] = layer.bias
-        elif isinstance(layer, NormParams):
-            params[f"{name}.scale"] = layer.scale
-            params[f"{name}.shift"] = layer.shift
-        elif isinstance(layer, LfamParams):
-            for role in ("query", "key", "value"):
-                proj: ConvParams = getattr(layer, role)
-                params[f"{name}.{role}.weight"] = proj.weight
-                params[f"{name}.{role}.bias"] = proj.bias
+    params = {name: t for key, layer in layers.items() for name, t in _named_tensors(key, layer)}
     return ModelState(config=cfg, layers=layers, params=params,
                       fingerprint=config_fingerprint(cfg))
 
@@ -436,4 +441,7 @@ def load_checkpoint(path, cfg: UNetConfig) -> ModelState:
         model.load_arrays(arrays)
     except (ContractError, ShapeError) as exc:
         raise CheckpointError(f"checkpoint {path} does not fit the model: {exc}") from exc
+    if not (np.isfinite(model.data.min()) and np.isfinite(model.data.max())):
+        name = next(n for n, t in model.params.items() if not np.isfinite(t.data).all())
+        raise CheckpointError(f"checkpoint {path} holds a non-finite value in parameter {name!r}")
     return model

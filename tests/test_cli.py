@@ -267,6 +267,20 @@ class TestSubcommands:
         assert main(["eval", "--config", cfg, "--out", str(tmp_path / "e")]) == EXIT_FILE
         assert f"truncated checkpoint {ckpt}" in capsys.readouterr().err
 
+    def test_eval_checkpoint_holding_nan_is_file_error(self, tmp_path, capsys):
+        # it used to exit 0 with a plausible mean IoU
+        out = tmp_path / "out"
+        assert main(["train", "--config", write_cfg(tmp_path, SMALL_TRAIN),
+                     "--out", str(out)]) == EXIT_OK
+        ckpt = bytearray((out / "best.ckpt").read_bytes())
+        first_value = ckpt.index(b"head.weight") + len(b"head.weight") + 20  # past LFT1 and dims
+        ckpt[first_value:first_value + 4] = np.float32(np.nan).tobytes()
+        (out / "best.ckpt").write_bytes(bytes(ckpt))
+        cfg = write_cfg(tmp_path, SMALL_TRAIN + f"eval.checkpoint={out / 'best.ckpt'}\n", "eval.cfg")
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "e")]) == EXIT_FILE
+        assert "non-finite value in parameter 'head.weight'" in capsys.readouterr().err
+        assert not (tmp_path / "e" / "eval.json").exists()
+
     def test_gen_data_writes_dataset(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_TRAIN + f"data.root={tmp_path / 'ds'}\n")
         assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK

@@ -17,6 +17,9 @@ from lfam.data import LabeledImage, gen_synthetic
 from lfam.errors import ConfigError, ContractError, LabelError, NumericalError
 from lfam.tensor import Tape, Tensor, backward, grad_check
 from lfam.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     EpochRecord,
     FocalIouLoss,
@@ -79,6 +82,14 @@ class TestFocalTerm:
         one = focal_iou_loss(logits, target, FocalIouLoss(alpha=1.0, **FOCAL_ONLY))
         three = focal_iou_loss(logits, target, FocalIouLoss(alpha=3.0, **FOCAL_ONLY))
         np.testing.assert_allclose(three.item(), 3.0 * one.item(), rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["gamma", "alpha", "focal_weight", "iou_weight"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+def test_focal_iou_settings_must_be_non_negative_and_finite(name, bad):
+    # alpha=inf made the loss inf, and gamma=nan slipped past a plain `< 0`
+    with pytest.raises(ConfigError, match=f"{name} must be >= 0 and finite"):
+        FocalIouLoss(**{name: bad})
 
 
 class TestSoftIouTerm:
@@ -170,6 +181,15 @@ class TestWeightedCe:
             weighted_ce(logits, target, (1.0, 0.0))
         with pytest.raises(ConfigError):
             WeightedCeLoss(class_weights=(1.0, -2.0))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_weight(self, bad):
+        # an infinite weight made the loss NaN
+        with pytest.raises(ConfigError, match="finite"):
+            weighted_ce(Tensor(np.zeros((1, 2, 2, 2))), np.zeros((1, 2, 2), dtype=np.int64),
+                        (bad, 1.0))
+        with pytest.raises(ConfigError, match="finite"):
+            WeightedCeLoss(class_weights=(bad, 1.0))
 
     def test_rejects_wrong_weight_count(self):
         with pytest.raises(ConfigError):
@@ -295,6 +315,11 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             ScheduleState(0.1, 0, 3, kind="linear")
 
+    @pytest.mark.parametrize("lr", [math.inf, math.nan])
+    def test_non_finite_base_rate_rejected(self, lr):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            ScheduleState(lr, 0, 1)
+
 
 class TestOptimizers:
     def test_sgd_single_step(self):
@@ -342,6 +367,72 @@ class TestOptimizers:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             init_optimizer("rmsprop")
+
+    @pytest.mark.parametrize("momentum", [math.nan, math.inf, 1.0, 5.0, -0.1])
+    def test_momentum_outside_the_unit_interval_rejected(self, momentum):
+        for make in (lambda: init_optimizer("sgd", momentum=momentum),
+                     lambda: init_optimizer("adam", momentum=momentum),
+                     lambda: TrainConfig(momentum=momentum)):
+            with pytest.raises(ConfigError, match="momentum must be in"):
+                make()
+
+    def test_state_is_one_flat_array_per_moment(self):
+        p = {"w": Tensor(np.zeros((1, 2, 1, 1))), "b": Tensor(np.zeros((1, 3, 1, 1)))}
+        g = {"w": np.ones((1, 2, 1, 1)), "b": np.ones((1, 3, 1, 1))}
+        sgd, adam = init_optimizer("sgd"), init_optimizer("adam")
+        assert sgd.velocity is None and adam.m is None and adam.v is None
+        optimizer_step(sgd, p, g, 0.1)
+        optimizer_step(adam, p, g, 0.1)
+        assert sgd.velocity.shape == adam.m.shape == adam.v.shape == (5,)
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_a_state_of_another_length_is_rejected(self, kind):
+        p = {"w": Tensor(np.zeros((1, 2, 1, 1))), "b": Tensor(np.zeros((1, 3, 1, 1)))}
+        g = {"w": np.ones((1, 2, 1, 1)), "b": np.ones((1, 3, 1, 1))}
+        opt = init_optimizer(kind)
+        optimizer_step(opt, p, g, 0.1)
+        before = p["w"].data.copy()
+        del p["b"]
+        with pytest.raises(ContractError, match="optimizer state holds 5 values, the gradients 2"):
+            optimizer_step(opt, p, g, 0.1)
+        np.testing.assert_array_equal(p["w"].data, before)
+
+
+def per_array_steps(kind, data, grad_steps, lr):
+    """The per-array SGD (momentum 0.9) or Adam update, step by step, on copies of data."""
+    data = {name: a.copy() for name, a in data.items()}
+    m, v = {}, {}
+    for step, grads in enumerate(grad_steps, 1):
+        for name, g in grads.items():
+            if kind == "sgd":
+                m[name] = 0.9 * m.get(name, np.zeros_like(g)) + g
+                data[name] -= lr * m[name]
+                continue
+            m[name] = ADAM_BETA1 * m.get(name, np.zeros_like(g)) + (1.0 - ADAM_BETA1) * g
+            v[name] = ADAM_BETA2 * v.get(name, np.zeros_like(g)) + (1.0 - ADAM_BETA2) * g * g
+            c1, c2 = 1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step
+            data[name] -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + ADAM_EPS)
+    return data
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_flat_update_is_the_per_array_update_bitwise(kind):
+    # the criterion-7 (desk32) network: 38 float32 arrays
+    lf = LfamConfig(local_range=4, residual_source=ResidualSource.ENCODER)
+    model = build_unet(UNetConfig(num_classes=4, base_channels=8, depth=2,
+                                  skips=(SkipSpec(kind="lfam", lfam=lf),) * 2), seed=0)
+    rng = np.random.default_rng(17)
+    grad_steps = [{name: (rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 1))
+                   .astype(np.float32) for name, p in model.params.items()}
+                  for _ in range(3)]
+    want = per_array_steps(kind, {name: p.data for name, p in model.params.items()},
+                           grad_steps, 3e-3)
+    opt = init_optimizer(kind)
+    for grads in grad_steps:
+        optimizer_step(opt, model.params, grads, 3e-3)
+    assert len(model.params) == 38
+    for name, p in model.params.items():
+        np.testing.assert_array_equal(p.data.view(np.uint32), want[name].view(np.uint32))
 
 
 class TestIouAccumulator:
@@ -496,8 +587,7 @@ class TestTrainLoop:
         assert summary["epochs"] == 3 and summary["best_epoch"] == run.best_epoch
 
         restored = load_checkpoint(tmp_path / "best.ckpt", model.config)
-        for name, p in restored.params.items():
-            np.testing.assert_array_equal(p.data, run.best_params[name])
+        np.testing.assert_array_equal(restored.data, run.best_params)
 
     def test_failed_checkpoint_write_keeps_previous_file(self, tmp_path, monkeypatch):
         model, data, cfg = tiny_setup(epochs=2)
@@ -518,8 +608,9 @@ class TestTrainLoop:
     def test_model_is_left_at_the_best_epoch(self):
         model, data, cfg = tiny_setup(epochs=4)
         run = train_loop(model, data, cfg)
-        for name, p in model.params.items():
-            np.testing.assert_array_equal(p.data, run.best_params[name])
+        np.testing.assert_array_equal(model.data, run.best_params)
+        for name, p in model.params.items():  # each parameter reads its slice of the best copy
+            assert np.shares_memory(p.data, model.data)
 
     def test_without_validation_the_last_epoch_is_kept(self, tmp_path):
         model, (train, _), cfg = tiny_setup(epochs=3)
@@ -550,6 +641,13 @@ class TestTrainLoop:
         model, data, cfg = tiny_setup()
         with pytest.raises(ConfigError):
             train_loop(model, ([], data[1]), cfg)
+
+    def test_evaluate_rejects_non_finite_logits(self):
+        # a NaN in head.weight used to pass as a plausible mean IoU
+        model, data, _ = tiny_setup()
+        model.params["head.weight"].data[0, 0, 0, 0] = np.nan
+        with pytest.raises(NumericalError, match="non-finite logits"):
+            evaluate(model, data[1], batch_size=2)
 
     def test_evaluate_counts_over_all_images(self):
         model, data, _ = tiny_setup()

@@ -14,7 +14,8 @@ from lfam.attention import LfamConfig, ResidualSource, global_attention_oracle, 
 from lfam.errors import CheckpointError, ConfigError, ContractError, NumericalError, ShapeError
 from lfam.rng import make_rng
 from lfam.tensor import Tape, Tensor, backward, grad_check, pow_const, sum_all
-from lfam.train import FocalIouLoss, focal_iou_loss
+from lfam.ops import he_conv
+from lfam.train import FocalIouLoss, focal_iou_loss, init_optimizer, optimizer_step
 from lfam.unet import (
     ModelState,
     SkipSpec,
@@ -490,7 +491,7 @@ class TestShardedStep:
         with pytest.raises(ContractError, match=f"shard of {failing} failed"):
             taped_step(model, x, target)
         assert [f.done() for f in helper.futures] == [True, True]
-        assert all(p.grad is None for p in model.params.values())
+        assert not model.grad.any()  # zero_grads' zeros, with nothing added
         monkeypatch.setattr(unet, "leaf_grads", real)
         _, _, _, want = serial_step(model, x, target)
         _, _, _, got = taped_step(model, x, target)
@@ -538,6 +539,72 @@ class TestFlops:
         from lfam.ops import he_conv
         p = he_conv(2, 4, 3, make_rng(0))
         assert p.weight.size + p.bias.size == 76
+
+
+def assert_views(model):
+    """Each parameter's .data and .grad are its own slice of model.data and model.grad."""
+    offset = 0
+    for t in model.params.values():
+        for buf, view in ((model.data, t.data), (model.grad, t.grad)):
+            assert view.base is buf and view.shape == t.shape
+            assert view.ctypes.data == buf.ctypes.data + offset * buf.itemsize
+        offset += t.size
+    assert offset == model.data.size == model.grad.size
+
+
+class TestFlatBuffers:
+    def test_parameter_names_and_order_are_pinned(self):
+        # checkpoints store parameters by these names, in this order
+        cfg = UNetConfig(in_channels=1, num_classes=2, base_channels=2, depth=2,
+                         channel_norm=True, skips=(LFAM4, SkipSpec(kind="concat")))
+        blocks = {prefix: [f"{prefix}.{layer}" for layer in
+                           ("conv1.weight conv1.bias norm1.scale norm1.shift "
+                            "conv2.weight conv2.bias norm2.scale norm2.shift").split()]
+                  for prefix in ("enc0", "enc1", "bottleneck", "dec1", "dec0")}
+        assert list(build_unet(cfg, seed=0).params) == [
+            *blocks["enc0"], *blocks["enc1"], *blocks["bottleneck"],
+            "dec1.up.weight", "dec1.up.bias", *blocks["dec1"],
+            "dec0.up.weight", "dec0.up.bias",
+            "dec0.fuse.query.weight", "dec0.fuse.query.bias",
+            "dec0.fuse.key.weight", "dec0.fuse.key.bias",
+            "dec0.fuse.value.weight", "dec0.fuse.value.bias", *blocks["dec0"],
+            "head.weight", "head.bias"]
+
+    def test_parameters_are_views_after_training_steps(self):
+        model = build_unet(small_cfg("lfam", channel_norm=True), seed=40)
+        assert_views(model)
+        rng = make_rng(41)
+        opt = init_optimizer("adam")
+        for _ in range(3):
+            x = Tensor(rng.standard_normal((2, 1, 8, 8)).astype(np.float32))
+            _, _, _, grads = taped_step(model, x, rng.integers(0, 3, size=(2, 8, 8)))
+            assert model.grad.any()
+            optimizer_step(opt, model.params, grads, 1e-3)
+            assert_views(model)
+        model.zero_grads()
+        assert not model.grad.any()
+        assert_views(model)
+
+    def test_parameters_are_views_after_load_arrays(self):
+        source = build_unet(small_cfg("lfam"), seed=42)
+        model = build_unet(small_cfg("lfam"), seed=43)
+        model.load_arrays({name: t.data.copy() for name, t in source.params.items()})
+        np.testing.assert_array_equal(model.data, source.data)
+        assert_views(model)
+
+    def test_parameters_are_views_after_a_checkpoint_round_trip(self, tmp_path):
+        model = build_unet(small_cfg("lfam"), seed=44)
+        save_checkpoint(tmp_path / "model.ckpt", model)
+        restored = load_checkpoint(tmp_path / "model.ckpt", model.config)
+        np.testing.assert_array_equal(restored.data, model.data)
+        assert_views(restored)
+
+    def test_mixed_parameter_dtypes_rejected(self):
+        layers = {"a": he_conv(1, 1, 1, make_rng(0)),
+                  "b": he_conv(1, 1, 1, make_rng(0), dtype=np.float64)}
+        params = {f"{k}.{f}": getattr(p, f) for k, p in layers.items() for f in ("weight", "bias")}
+        with pytest.raises(ContractError, match="one dtype"):
+            ModelState(config=small_cfg(), layers=layers, params=params)
 
 
 class TestLoadArrays:
@@ -620,6 +687,17 @@ class TestCheckpoint:
         data[dims_at:dims_at + 16] = struct.pack("<4I", *(65536,) * 4)
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path, small_cfg())
+
+    @pytest.mark.parametrize("name, value", [("head.weight", np.nan),
+                                             ("enc0.conv1.weight", -np.inf)])
+    def test_non_finite_parameter_rejected_by_name(self, tmp_path, name, value):
+        # a NaN in head.weight used to evaluate to a plausible mean IoU
+        path = tmp_path / "model.ckpt"
+        model = build_unet(small_cfg(), seed=0)
+        model.params[name].data[0, 0, 0, 0] = value
+        save_checkpoint(path, model)
+        with pytest.raises(CheckpointError, match=f"non-finite value in parameter '{name}'"):
             load_checkpoint(path, small_cfg())
 
     def test_garbage_file_rejected(self, tmp_path):
