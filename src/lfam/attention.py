@@ -198,7 +198,7 @@ class LfamParams:
         return self.query.out_channels
 
     def tensors(self) -> tuple[Tensor, ...]:
-        return tuple(t for p in (self.query, self.key, self.value) for t in (p.weight, p.bias))
+        return self.query.tensors() + self.key.tensors() + self.value.tensors()
 
 
 def init_lfam_params(in_channels: int, rng: np.random.Generator,

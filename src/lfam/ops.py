@@ -71,6 +71,9 @@ class ConvParams:
     def kernel(self) -> int:
         return self.weight.shape[2]
 
+    def tensors(self) -> tuple[Tensor, Tensor]:
+        return (self.weight, self.bias)
+
 
 def he_conv(in_ch: int, out_ch: int, k: int, rng: np.random.Generator, dtype=np.float32) -> ConvParams:
     """He-normal weight init, std sqrt(2 / fan_in) with fan_in = in_ch * k * k."""

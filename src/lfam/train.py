@@ -212,7 +212,8 @@ def _flat_state(state: np.ndarray | None, g: np.ndarray) -> np.ndarray:
 
 def optimizer_step(opt: OptimState, params: dict[str, Tensor],
                    grads: dict[str, np.ndarray], lr: float) -> None:
-    """Update every parameter in place, elementwise over the gradients gathered flat."""
+    """Update every parameter in place, elementwise over the gradients gathered flat.
+    opt's state is tied to the params, in the order, it first stepped."""
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
