@@ -4,15 +4,17 @@ The encoder map supplies queries and the decoder map supplies keys and
 values (a config flag swaps those roles).  Both maps are cut into disjoint
 m-by-m windows anchored at (0, 0); attention runs inside each window only,
 so cost scales with m^4 per window instead of (h*w)^2 for the whole map.
-Maps whose sides are not multiples of m are zero-padded at the bottom and
-right; padded key positions receive exactly zero attention weight and
-padded query rows are cropped away at the end.
+Windows that reach past the bottom or right edge hold zero rows there:
+padded keys receive exactly zero attention weight and padded query rows
+are dropped at the end.
 
-The window layout lives here too: window_partition checks a tiling once,
-as a WindowGrid, and pad_bottom_right, window_split (to the channel-last
-(n, N, m*m, c) rows the core reads), window_merge (from them) and
-crop_top_left take that grid.  The row order is written once, in
-_map_to_rows, which also builds the key mask.
+Everything between the two maps and the fused map runs in channel-last
+(n, N, m*m, c) window rows.  window_partition checks a tiling once, as a
+WindowGrid.  window_split copies a map into rows once; the three 1x1
+projections are products on those rows; the core attends within each
+window; window_merge copies the rows back into a map once, dropping the
+padding and adding the residual.  The row order is written once, in
+_window_views.
 
 Two independent references live here as well: a per-window direct
 evaluation with explicit score matrices, and a global all-pairs oracle for
@@ -22,23 +24,23 @@ taped path.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, ScaleGuardError, ShapeError
-from .ops import ConvParams, conv2d, he_conv
+from .errors import ConfigError, DegenerateWindowError, NumericalError, ScaleGuardError, ShapeError
+from .ops import ConvParams, he_conv
+from .ops import conv2d  # not called here: perfbench's tracer wraps lfam.attention.conv2d by name
 from .tensor import (
     Tensor,
     _active_tape,
     _apply,
-    _softmax_grad,
-    add,
     bmm,
-    masked_softmax,
-    permute,
+    masked_softmax,  # not called here: perfbench's tracer wraps lfam.attention.masked_softmax by name
+    permute,  # not called here: perfbench's tracer wraps lfam.attention.permute by name
     reshape,  # not called here: perfbench's tracer wraps lfam.attention.reshape by name
 )
 
@@ -118,29 +120,82 @@ def window_partition(h: int, w: int, m: int) -> WindowGrid:
     cols = -(-w // m)
     pad_mask = np.zeros((rows * m, cols * m), dtype=bool)
     pad_mask[:h, :w] = True
-    key_mask = _map_to_rows(pad_mask[None, None], m).reshape(rows * cols, 1, 1, m * m)
-    return WindowGrid(h=h, w=w, m=m, rows=rows, cols=cols,
-                      n_windows=rows * cols, pad_mask=pad_mask, key_mask=key_mask)
+    real = _to_rows(np.ones((1, 1, h, w), dtype=bool), m, rows * cols, padded=True)
+    return WindowGrid(h=h, w=w, m=m, rows=rows, cols=cols, n_windows=rows * cols,
+                      pad_mask=pad_mask, key_mask=real.reshape(rows * cols, 1, 1, m * m))
 
 
-def _map_to_rows(x: np.ndarray, m: int) -> np.ndarray:
-    """(n, c, rows*m, cols*m) map -> (n, rows*cols, m*m, c) window rows, row-major throughout."""
-    n, c, hh, ww = x.shape
-    return (x.reshape(n, c, hh // m, m, ww // m, m)
-            .transpose(0, 2, 4, 3, 5, 1)
-            .reshape(n, -1, m * m, c))
+def _window_views(rows: np.ndarray, m: int, *maps: np.ndarray):
+    """Yield matching views of window rows (n, N, m*m, c) and of (n, c, h, w) maps.
+
+    The one place the row order is written: pixel (i, j) of image b is row
+    [b, (i // m) * cols + j // m, (i % m) * m + j % m], channel last.  The
+    views cover the map in up to four blocks (whole windows, then the
+    partial ones at the right, the bottom and the corner); row positions
+    past the map are not viewed.
+    """
+    n, c, h, w = maps[0].shape
+    r = rows.reshape(n, -(-h // m), -(-w // m), m, m, c).transpose(0, 5, 1, 3, 2, 4)
+
+    def parts(size):  # (window index, in-window index, map slice, split shape)
+        whole, part = divmod(size, m)
+        out = [(np.s_[:whole], np.s_[:], np.s_[:whole * m], (whole, m))] if whole else []
+        return out + ([(whole, np.s_[:part], np.s_[whole * m:], (part,))] if part else [])
+
+    for wi, pi, si, shape_i in parts(h):
+        for wj, pj, sj, shape_j in parts(w):
+            yield (r[:, :, wi, pi, wj, pj],
+                   *(x[:, :, si, sj].reshape((n, c) + shape_i + shape_j) for x in maps))
 
 
-def _rows_to_map(r: np.ndarray, rows: int, cols: int, m: int) -> np.ndarray:
-    """Inverse of _map_to_rows: rows of rows x cols windows per image back to the map."""
-    n, _, _, c = r.shape
-    return (r.reshape(n, rows, cols, m, m, c)
-            .transpose(0, 5, 1, 3, 2, 4)
-            .reshape(n, c, rows * m, cols * m))
+def _to_rows(x: np.ndarray, m: int, n_windows: int, padded: bool) -> np.ndarray:
+    """(n, c, h, w) map -> window rows (n, N, m*m, c), zero past the map."""
+    n, c = x.shape[:2]
+    rows = (np.zeros if padded else np.empty)((n, n_windows, m * m, c), x.dtype)
+    for r, view in _window_views(rows, m, x):
+        r[...] = view
+    return rows
 
 
-# The four window ops' vjps capture integers, not the grid: a taped node
-# outlives its fusion call, and the grid's two masks need not live as long.
+def _to_map(rows: np.ndarray, m: int, hw: tuple[int, int], add: np.ndarray | None = None):
+    """Window rows (n, N, m*m, c) -> the (n, c, h, w) map, plus add if given."""
+    out = np.empty(rows.shape[:1] + rows.shape[3:] + hw, rows.dtype)
+    for r, view, *extra in _window_views(rows, m, out, *(() if add is None else (add,))):
+        if extra:
+            np.add(r, extra[0], out=view)
+        else:
+            view[...] = r
+    return out
+
+
+# The window ops' vjps capture integers, not the grid: a taped node outlives
+# its fusion call, and the grid's masks need not live as long.
+
+def window_split(a: Tensor, grid: WindowGrid) -> Tensor:
+    """Copy an (n, c, h, w) map once into window rows (n, N, m*m, c), zero at the padding."""
+    hw = a.shape[2:]
+    if hw != (grid.h, grid.w):
+        raise ShapeError(f"window_split: map is {hw}, grid is {(grid.h, grid.w)}")
+    m = grid.m
+    return _apply("window_split", (a,), _to_rows(a.data, m, grid.n_windows, grid.padded),
+                  lambda g: (_to_map(g, m, hw),))
+
+
+def window_merge(r: Tensor, grid: WindowGrid, residual: Tensor | None = None) -> Tensor:
+    """Copy window rows (n, N, m*m, d) once into an (n, d, h, w) map, dropping the padding.
+
+    A residual (n, d, h, w) map is added in the same copy.
+    """
+    m, nw, padded = grid.m, grid.n_windows, grid.padded
+    inputs = (r,) if residual is None else (r, residual)
+    out = _to_map(r.data, m, (grid.h, grid.w), None if residual is None else residual.data)
+    return _apply("window_merge", inputs, out,
+                  lambda g: (_to_rows(g, m, nw, padded),) + (g,) * (len(inputs) - 1))
+
+
+# pad_bottom_right and crop_top_left are not called here either, since
+# window_split pads and window_merge crops as they copy; perfbench's tracer
+# wraps lfam.attention.pad_bottom_right and crop_top_left by name
 
 def pad_bottom_right(a: Tensor, grid: WindowGrid) -> Tensor:
     """Zero-pad an (n, c, h, w) map at the bottom and right to whole windows."""
@@ -148,20 +203,6 @@ def pad_bottom_right(a: Tensor, grid: WindowGrid) -> Tensor:
     hh, ww = grid.pad_mask.shape
     out = np.pad(a.data, ((0, 0), (0, 0), (0, hh - h), (0, ww - w)))
     return _apply("pad_bottom_right", (a,), out, lambda g: (g[:, :, :h, :w],))
-
-
-def window_split(a: Tensor, grid: WindowGrid) -> Tensor:
-    """Cut an (n, c, rows*m, cols*m) map into contiguous channel-last window rows (n, N, m*m, c)."""
-    rows, cols, m = grid.rows, grid.cols, grid.m
-    return _apply("window_split", (a,), _map_to_rows(a.data, m),
-                  lambda g: (_rows_to_map(g, rows, cols, m),))
-
-
-def window_merge(r: Tensor, grid: WindowGrid) -> Tensor:
-    """Inverse of window_split: window rows (n, N, m*m, c) back to (n, c, rows*m, cols*m)."""
-    m = grid.m
-    return _apply("window_merge", (r,), _rows_to_map(r.data, grid.rows, grid.cols, m),
-                  lambda g: (_map_to_rows(g, m),))
 
 
 def crop_top_left(a: Tensor, grid: WindowGrid) -> Tensor:
@@ -242,6 +283,37 @@ def _validate_pair(encoder: Tensor, decoder: Tensor, params: LfamParams, cfg: Lf
                           f"got {params.proj_channels} vs {c}")
 
 
+def _project(rows: Tensor, p: ConvParams) -> Tensor:
+    """The 1x1 conv p on window rows: rows·Wᵀ + b.
+
+    Padded rows project to the bias.  The core gives padded keys exactly
+    zero weight whatever their rows hold, and window_merge drops padded
+    queries, so those rows reach no output and no gradient.
+    """
+    shape = rows.shape
+    x = rows.data.reshape(-1, shape[3])
+    wt = p.weight.data[:, :, 0, 0]  # (d, c)
+    out = x @ wt.T
+    # a window's rows at a time: a bias add over rows of d values alone pays
+    # numpy's per-row overhead, about as much as the product
+    per_window = out.reshape(-1, shape[2] * len(wt))
+    per_window += np.tile(p.bias.data.reshape(-1), shape[2])
+    w_shape, b_shape = p.weight.shape, p.bias.shape
+
+    def vjp(g):
+        g = g.reshape(-1, g.shape[3])
+        # the weight and bias gradients contract over rows: with both
+        # operands channel-major, as a conv's are, the float32 error stays a
+        # conv's (rows-major operands took a less exact OpenBLAS path, up to
+        # 10x the error at some row counts), and the bias takes numpy's
+        # pairwise sum
+        gt = np.ascontiguousarray(g.T)
+        gw = gt @ np.ascontiguousarray(x.T).T
+        return (g @ wt).reshape(shape), gw.reshape(w_shape), gt.sum(axis=1).reshape(b_shape)
+
+    return _apply("window_project", (rows, p.weight, p.bias), out.reshape(shape[:3] + (-1,)), vjp)
+
+
 def _scratch(nbytes: int) -> np.ndarray:
     """This thread's kept score buffer, grown to at least nbytes."""
     buf = getattr(_SCRATCH, "buf", None)
@@ -250,76 +322,130 @@ def _scratch(nbytes: int) -> np.ndarray:
     return buf
 
 
+def _exp_scores(s: np.ndarray, mask: np.ndarray | None, mask_all: bool, bound: float) -> None:
+    """exp of a block's scores (b, m*m, m*m) in place, shifted only where needed.
+
+    A window whose scores all lie in (-bound, bound), bound = ½·ln(dtype
+    max), takes exp unshifted: nothing overflows and every row sum is at
+    least e^-bound.  Any other window has its masked keys set to -inf and
+    its row max subtracted first, per window, so that no window's bits
+    depend on its block.  mask_all sets masked keys to -inf everywhere.
+    """
+    flat = s.reshape(len(s), -1)
+    lo, hi = flat.min(axis=1), flat.max(axis=1)
+    # NaN and -inf show in the min, +inf in the max
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise NumericalError("window attention: scores contain non-finite values")
+    shift = (lo <= -bound) | (hi >= bound)
+    if mask is not None and (mask_all or shift.any()):
+        np.copyto(s, -np.inf, where=~mask)
+    if shift.all():
+        s -= s.max(axis=2, keepdims=True)
+    elif shift.any():
+        np.subtract(s, s.max(axis=2, keepdims=True), out=s, where=shift[:, None, None])
+    np.exp(s, out=s)
+
+
+def _scores_grad(dp: np.ndarray, p: np.ndarray, g: np.ndarray, o: np.ndarray) -> None:
+    """Turn a block's dP = g·Vᵀ into the scores' gradient in place.
+
+    dS = P ⊙ (dP - rowdot(g, O)): the row dot rowdot(dP, P) equals
+    rowdot(g, P·V), which runs over O's d columns instead of P's m*m
+    (FlashAttention-2, Dao 2023, arXiv 2307.08691).
+    """
+    dp -= np.einsum("wqd,wqd->wq", g, o)[..., None]
+    dp *= p
+
+
 def _window_core(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None,
                  scale: float | None, keep_p: bool = True) -> tuple[Tensor, np.ndarray | None]:
     """softmax(q kᵀ * scale) v over (n, N, m*m, d) window rows, as one tape node.
 
-    Returns the gathered rows and P.  Each window's softmax is independent,
-    so forward and vjp both run the n*N windows in blocks whose scores fit
-    _BLOCK_BYTES; a block's mask rows are those of its flat windows b*N + w.
-    The forward calls this module's bmm, permute and masked_softmax on
-    untracked views, which perfbench's tracer times.  A block's scores go
-    into its slice of a full-size P when P is kept (keep_p, or a tape that
-    records the node, whose vjp reads P); otherwise into this thread's kept
-    scratch buffer, and P is returned as None.  The softmax overwrites the
-    scores and P·V goes into the block's rows of the output.
+    Returns the output rows and P.  mask, broadcastable to (n, N, 1, m*m),
+    marks real keys (None: all real); a window with no real key raises.
+    The n*N windows run in blocks whose scores fit _BLOCK_BYTES, both
+    products through this module's bmm, which perfbench's tracer times.
+    Per block, with the scale folded into q, E = exp(q kᵀ) (_exp_scores),
+    and one product E·[v | keys] gives E·v and the row sums l (keys is 1 at
+    real keys, 0 at masked ones, whose v rows enter as 0); the output is
+    E·v / l.  Where P is kept (keep_p, or a tape that records the node,
+    whose vjp reads P), E goes into its slice of a full-size P, masked keys
+    exactly 0, and is divided by l there; otherwise into this thread's kept
+    scratch buffer, and P is returned as None.
 
     The vjp reuses one block-sized buffer for every block's dP = g vᵀ,
-    turns it into dS in place and writes dq and dk into their outputs;
-    dv = Pᵀ g is one product formed after the buffer is freed.  Every
-    product is still one BLAS call per window and every reduction runs along
-    the same row, so the bits do not depend on the block size.
+    turns it into dS in place (_scores_grad), writes dq and dk into their
+    outputs, and forms dv = Pᵀ g after freeing the buffer.  Every product
+    is one BLAS call per window and every reduction runs along one row, so
+    the bits do not depend on the block size.
     """
     n, nw, mm, d = q.shape
     rows = n * nw
     dtype = q.dtype
     keep_p = keep_p or (_active_tape() is not None and any(t.requires_grad for t in (q, k, v)))
     per = max(1, _BLOCK_BYTES // (mm * mm * dtype.itemsize))  # windows per block
-    # the loop sees every operand as (1, n*N, ...): window b*N + w of image b
+    blk = min(per, rows)
+    # the loop sees every operand as (n*N, ...): window b*N + w of image b
+    if mask is None:
+        keys = np.broadcast_to(np.ones((1, 1, 1), dtype), (rows, mm, 1))
+    else:
+        mask = np.broadcast_to(mask, (n, nw, 1, mm)).reshape(rows, 1, mm)
+        if not mask.any(axis=2).all():
+            raise DegenerateWindowError("window attention: a window has every key masked")
+        keys = mask.reshape(rows, mm, 1).astype(dtype)
+    qs = q.data if scale is None else q.data * scale
+    qf = qs.reshape(1, rows, mm, d)
+    kt = k.data.reshape(1, rows, mm, d).swapaxes(-1, -2)
+    vf = v.data.reshape(rows, mm, d)
     out = np.empty(q.shape, dtype=dtype)
+    of = out.reshape(rows, mm, d)
     if keep_p:
         p = np.empty((n, nw, mm, mm), dtype=dtype)
         pf = p.reshape(1, rows, mm, mm)
     else:
         p = None
-        nbytes = min(per, rows) * mm * mm * dtype.itemsize
+        nbytes = blk * mm * mm * dtype.itemsize
         # cut to nbytes before the view: a float32 call may leave a length
         # that is no multiple of 8
         pf = _scratch(nbytes)[:nbytes].view(dtype).reshape(1, -1, mm, mm)
-    qf, vf, of = (x.reshape(1, rows, mm, d) for x in (q.data, v.data, out))
-    kt = permute(Tensor(k.data.reshape(1, rows, mm, d)), (0, 1, 3, 2)).data
-    if mask is not None:
-        mask = np.broadcast_to(mask, (n, nw) + mask.shape[2:]).reshape(1, rows, *mask.shape[2:])
+    v1 = np.empty((1, blk, mm, d + 1), dtype=dtype)  # [v | keys]
+    ev = np.empty((1, blk, mm, d + 1), dtype=dtype)  # [E·v | l]
+    bound = 0.5 * math.log(float(np.finfo(dtype).max))  # 44.36 in float32, 354.9 in float64
     for lo in range(0, rows, per):
         hi = min(lo + per, rows)
-        dst = pf[:, lo:hi] if keep_p else pf[:, :hi - lo]
-        scores = bmm(Tensor(qf[:, lo:hi]), Tensor(kt[:, lo:hi]), out=dst)
-        if scale is not None:
-            scores.data *= scale
-        probs = masked_softmax(scores, None if mask is None else mask[:, lo:hi], overwrite=True)
-        bmm(probs, Tensor(vf[:, lo:hi]), out=of[:, lo:hi])
+        b = hi - lo
+        e = pf[:, lo:hi] if keep_p else pf[:, :b]
+        bmm(Tensor(qf[:, lo:hi]), Tensor(kt[:, lo:hi]), out=e)
+        _exp_scores(e[0], None if mask is None else mask[lo:hi], keep_p, bound)
+        np.multiply(vf[lo:hi], keys[lo:hi], out=v1[0, :b, :, :d])
+        v1[0, :b, :, d:] = keys[lo:hi]
+        bmm(Tensor(e), Tensor(v1[:, :b]), out=ev[:, :b])
+        # every row sum is at least e^-bound (see _exp_scores), so l > 0
+        l = ev[0, :b, :, d:]
+        np.divide(ev[0, :b, :, :d], l, out=of[lo:hi])
+        if keep_p:
+            e[0] /= l
     if not keep_p:  # no tape records the node, so nothing reads P
         return Tensor(out), None
 
     def vjp(g):
-        # views are formed here, not captured, so the closure holds only q, k, v, P and scale
-        qf, kf, vf, gf = (x.reshape(-1, *q.shape[2:]) for x in (q.data, k.data, v.data, g))
-        pf = p.reshape(-1, *p.shape[2:])
-        rows = len(pf)
-        per = max(1, _BLOCK_BYTES // pf[0].nbytes)  # windows per block
-        buf = np.empty((min(per, rows),) + pf.shape[1:], dtype=g.dtype)
+        # views are formed here, not captured, so the closure holds only
+        # the scaled q, k, v, the output, P and scale
+        qf, kf, vf, of, gf = (x.reshape(rows, mm, d) for x in (qs, k.data, v.data, out, g))
+        pf = p.reshape(rows, mm, mm)
+        buf = np.empty((blk, mm, mm), dtype=g.dtype)
         for lo in range(0, rows, per):
             hi = min(lo + per, rows)
             ds = np.matmul(gf[lo:hi], vf[lo:hi].swapaxes(-1, -2), out=buf[:hi - lo])
-            _softmax_grad(ds[None], pf[lo:hi][None], 3, overwrite=True)
-            if scale is not None:
-                ds *= scale
+            _scores_grad(ds, pf[lo:hi], gf[lo:hi], of[lo:hi])
             if lo == 0:  # after the first block's row-dot temporary is freed
                 dq = np.empty(qf.shape, dtype=g.dtype)
                 dkt = np.empty(qf.swapaxes(-1, -2).shape, dtype=g.dtype)
             np.matmul(ds, kf[lo:hi], out=dq[lo:hi])
             np.matmul(qf[lo:hi].swapaxes(-1, -2), ds, out=dkt[lo:hi])
         del buf, ds
+        if scale is not None:  # S = (q * scale) kᵀ
+            dq *= scale
         return dq.reshape(q.shape), dkt.swapaxes(-1, -2).reshape(q.shape), p.swapaxes(-1, -2) @ g
 
     return _apply("window_attention", (q, k, v), out, vjp), p
@@ -343,33 +469,27 @@ def _fuse(encoder: Tensor, decoder: Tensor, params: LfamParams, cfg: LfamConfig,
     _validate_pair(encoder, decoder, params, cfg)
     h, w = encoder.shape[2:]
     m = cfg.local_range
-    d = params.proj_channels
     grid = window_partition(h, w, m)
 
     q_src, kv_src = (decoder, encoder) if cfg.swap_qkv else (encoder, decoder)
-    q = conv2d(q_src, params.query)
-    k = conv2d(kv_src, params.key)
-    v = conv2d(kv_src, params.value)
-
-    def rows_of(t: Tensor) -> Tensor:
-        return window_split(pad_bottom_right(t, grid) if grid.padded else t, grid)
+    # without a tape, each map's rows are freed once projected
+    q = _project(window_split(q_src, grid), params.query)
+    kv_rows = window_split(kv_src, grid)
+    k = _project(kv_rows, params.key)
+    v = _project(kv_rows, params.value)
+    del kv_rows
 
     # unpadded windows have only real keys; otherwise the (N, 1, 1, m*m) key
-    # mask, viewed as (1, N, 1, m*m), broadcasts over batch and query rows
+    # mask, viewed as (1, N, 1, m*m), broadcasts over the batch
     mask = grid.key_mask.reshape(1, grid.n_windows, 1, m * m) if grid.padded else None
+    d = params.proj_channels
     scale = float(1.0 / np.sqrt(d)) if cfg.scale_logits else None  # keeps float32 data float32
-    gathered, weights = _window_core(rows_of(q), rows_of(k), rows_of(v), mask, scale, keep_p)
+    gathered, weights = _window_core(q, k, v, mask, scale, keep_p)
+    del q, k, v
 
-    fused = window_merge(gathered, grid)
-    if grid.padded:
-        fused = crop_top_left(fused, grid)
-
-    if cfg.residual_source is ResidualSource.ENCODER:
-        fused = add(fused, encoder)
-    elif cfg.residual_source is ResidualSource.DECODER:
-        fused = add(fused, decoder)
-
-    return fused, grid, weights
+    residual = {ResidualSource.ENCODER: encoder,
+                ResidualSource.DECODER: decoder}.get(cfg.residual_source)
+    return window_merge(gathered, grid, residual), grid, weights
 
 
 # ---------------------------------------------------------------------------

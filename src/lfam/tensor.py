@@ -15,13 +15,14 @@ the parameters but write no .grad.
 
 Two ops may reuse the buffer they consume.  relu and masked_softmax take
 overwrite=True to write their result into their input's buffer once every
-check has passed; unet's conv blocks pass it for the conv or norm output
-and the window-attention core for its scores.  No vjp reads those inputs
-(relu's vjp masks with its output: out > 0 is a > 0).  No vjp writes into
-the gradient it is handed; the one in-place gradient write is inside the
-window-attention core's vjp (attention._window_core), which turns each
-block of windows' probability gradient into their scores' gradient in one
-block-sized buffer that it formed and reuses for every block.
+check has passed; unet's conv blocks pass it for the conv or norm output.
+No vjp reads those inputs (relu's vjp masks with its output: out > 0 is
+a > 0).  The window-attention core (attention._window_core) calls no
+masked_softmax: it takes exp in its own score buffer and normalises
+through its P·V product.  No vjp writes into the gradient it is handed;
+the one in-place gradient write is inside that core's vjp, which turns
+each block of windows' probability gradient into their scores' gradient
+in one block-sized buffer that it formed and reuses for every block.
 
 Training code runs in float32; gradient checking must run in float64
 because central differences are unreliable in single precision.
@@ -87,7 +88,9 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self) -> None:
-        self.grad = None
+        """Zero .grad in place, so a model parameter's stays a view of ModelState.grad."""
+        if self.grad is not None:
+            self.grad.fill(0)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -404,12 +407,11 @@ def _softmax(a: Tensor, axis: int, mask: np.ndarray | None, op: str,
     return _apply(op, (a,), p, lambda g: (_softmax_grad(g, p, axis),))
 
 
-def _softmax_grad(g: np.ndarray, p: np.ndarray, axis: int, overwrite: bool = False) -> np.ndarray:
-    """Logits' gradient of a softmax p over axis; overwrite=True writes it into g."""
+def _softmax_grad(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
+    """Logits' gradient of a softmax p over axis."""
     subs = "abcd"
     row_dot = f"{subs},{subs}->{subs.replace(subs[axis], '')}"
-    gx = np.subtract(g, np.expand_dims(np.einsum(row_dot, g, p), axis),
-                     out=g if overwrite else None)
+    gx = g - np.expand_dims(np.einsum(row_dot, g, p), axis)
     gx *= p
     return gx
 

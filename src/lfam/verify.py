@@ -8,11 +8,11 @@ sums would hide errors that cancel across positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attention import LfamConfig, LfamParams, ResidualSource, init_lfam_params, lfam_forward
+from .attention import LfamConfig, ResidualSource, init_lfam_params, lfam_forward
 from .ops import ConvParams, conv2d, he_conv, upconv2x2
 from .rng import make_rng
 from .tensor import Tensor, grad_check, masked_softmax, mul, sum_all
@@ -102,6 +102,8 @@ def _check_lfam(seed: int, residual: ResidualSource, m: int) -> float:
     rng = make_rng(seed, stream=10 + m)
     cfg = LfamConfig(local_range=m, residual_source=residual)
     params = init_lfam_params(3, rng, dtype=np.float64)
+    for t in (params.query.bias, params.key.bias, params.value.bias):
+        t.data[...] = rng.normal(size=t.shape)  # padded rows then project to nonzero values
     enc = Tensor(rng.normal(size=(1, 3, 6, 6)), requires_grad=True)
     dec = Tensor(rng.normal(size=(1, 3, 6, 6)), requires_grad=True)
     w = rng.normal(size=(1, 3, 6, 6))
@@ -112,13 +114,17 @@ def _check_lfam(seed: int, residual: ResidualSource, m: int) -> float:
         grad_check(lambda t: _weighted_sum(lfam_forward(enc_c, t, params, cfg), w), dec),
     ]
 
-    def by_query_weight(wq):
-        p = LfamParams(query=ConvParams(weight=wq, bias=params.query.bias),
-                       key=params.key, value=params.value)
-        return _weighted_sum(lfam_forward(enc_c, dec_c, p, cfg), w)
+    # every projection weight and bias: m=4 pads the 6x6 maps, so a padded
+    # row leaking into a key or value gradient would show here
+    for role in ("query", "key", "value"):
+        for part in ("weight", "bias"):
+            def by_part(t, role=role, part=part):
+                conv = replace(getattr(params, role), **{part: t})
+                return _weighted_sum(lfam_forward(enc_c, dec_c, replace(params, **{role: conv}),
+                                                  cfg), w)
 
-    errs.append(grad_check(by_query_weight,
-                           Tensor(params.query.weight.data.copy(), requires_grad=True)))
+            start = getattr(getattr(params, role), part).data.copy()
+            errs.append(grad_check(by_part, Tensor(start, requires_grad=True)))
     return max(errs)
 
 

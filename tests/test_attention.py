@@ -1,5 +1,6 @@
 """Windowed fusion against per-window and global references, plus locality."""
 
+import contextlib
 import sys
 import threading
 import tracemalloc
@@ -40,7 +41,6 @@ from lfam.rng import make_rng
 from lfam.tensor import (
     Tape,
     Tensor,
-    _softmax_grad,
     affine,
     backward,
     bmm,
@@ -93,10 +93,13 @@ FUSION_GEOMETRIES = [(32, 32, 4), (16, 16, 4), (64, 64, 16), (32, 32, 16),
                      (128, 128, 7), (64, 64, 7), (13, 30, 7)]
 
 # a 4x5 map padded unevenly, by (2, 1), to 6x6, and a 4x4 map cut into four
-# unpadded windows, with fixed weights on its (2, 4, 4, 2) window rows
+# unpadded windows, with fixed weights on their (2, 4, 9, 2) and (2, 4, 4, 2)
+# window rows
 _GRID_PAD = window_partition(4, 5, 3)
 _GRID_2 = window_partition(4, 4, 2)
+_PAD_ROW_WEIGHTS = Tensor(make_rng(6).standard_normal((2, 4, 9, 2)))
 _ROW_WEIGHTS = Tensor(make_rng(5).standard_normal((2, 4, 4, 2)))
+_RESIDUAL = Tensor(make_rng(7).standard_normal((2, 2, 4, 5)))
 
 
 class TestWindows:
@@ -124,14 +127,26 @@ class TestWindows:
         np.testing.assert_array_equal(r.data[1, 1, :, 0], [34, 35, 38, 39])
 
     @pytest.mark.parametrize("h, w, m", FUSION_GEOMETRIES)
-    def test_pad_split_merge_crop_is_the_identity(self, h, w, m):
+    def test_split_merge_is_the_identity_with_zero_rows_at_the_padding(self, h, w, m):
         x = make_rng(h * w + m).standard_normal((2, 3, h, w)).astype(np.float32)
         grid = window_partition(h, w, m)
-        r = window_split(pad_bottom_right(Tensor(x), grid), grid)
+        r = window_split(Tensor(x), grid)
         assert r.shape == (2, grid.n_windows, m * m, 3)
-        back = crop_top_left(window_merge(r, grid), grid)
+        # the rows are those of the padded map, cut by the former formula
+        padded = pad_bottom_right(Tensor(x), grid).data
+        rows, cols = grid.rows, grid.cols
+        former = (padded.reshape(2, 3, rows, m, cols, m).transpose(0, 2, 4, 3, 5, 1)
+                  .reshape(2, grid.n_windows, m * m, 3))
+        assert r.data.tobytes() == former.tobytes()
+        back = window_merge(r, grid)
         assert back.shape == x.shape and back.dtype == x.dtype
         assert back.data.tobytes() == x.tobytes()
+        res = make_rng(h + w).standard_normal(x.shape).astype(np.float32)
+        np.testing.assert_array_equal(window_merge(r, grid, Tensor(res)).data, x + res)
+
+    def test_split_rejects_a_map_of_another_size(self):
+        with pytest.raises(ShapeError):
+            window_split(Tensor(np.zeros((1, 1, 6, 6))), _GRID_PAD)
 
     @pytest.mark.parametrize("h, w, m", FUSION_GEOMETRIES)
     def test_key_mask_matches_the_former_formula(self, h, w, m):
@@ -142,22 +157,27 @@ class TestWindows:
                   .reshape(rows * cols, 1, 1, m * m))
         assert grid.key_mask.shape == former.shape and grid.key_mask.dtype == former.dtype
         assert grid.key_mask.tobytes() == former.tobytes()
-        # the key mask marks exactly the row positions a padded map of ones fills
-        ones = pad_bottom_right(Tensor(np.ones((1, 1, h, w))), grid)
-        np.testing.assert_array_equal(window_split(ones, grid).data.reshape(former.shape) == 1,
-                                      former)
+        # the key mask marks exactly the row positions a map of ones fills
+        ones = window_split(Tensor(np.ones((1, 1, h, w))), grid).data
+        np.testing.assert_array_equal(ones.reshape(former.shape) == 1, former)
 
     # name -> (function of x, shape of x).  The padding is uneven, so a
     # row/column swap in a vjp gives a wrongly shaped gradient; crop runs on
     # its own too, because in pad_crop pad's vjp slices such a gradient back.
     # The rows are weighted per entry, so a split or merge vjp that put a
-    # pixel in another row position would show.
+    # pixel in another row position would show; the padded rows' weights
+    # must reach nothing.
     OPS = {
         "pad_crop": (lambda x: sum_all(mul(crop_top_left(pad_bottom_right(x, _GRID_PAD), _GRID_PAD), x)),
                      (2, 2, 4, 5)),
         "crop": (lambda x: sum_all(pow_const(crop_top_left(x, _GRID_PAD), 2.0)), (2, 2, 6, 6)),
         "windows": (lambda x: sum_all(pow_const(
             window_merge(mul(window_split(x, _GRID_2), _ROW_WEIGHTS), _GRID_2), 2.0)), (2, 2, 4, 4)),
+        "padded_windows": (lambda x: sum_all(pow_const(window_merge(
+            mul(window_split(x, _GRID_PAD), _PAD_ROW_WEIGHTS), _GRID_PAD, x), 2.0)), (2, 2, 4, 5)),
+        "residual": (lambda x: sum_all(pow_const(window_merge(
+            mul(window_split(_RESIDUAL, _GRID_PAD), _PAD_ROW_WEIGHTS), _GRID_PAD, x), 2.0)),
+            (2, 2, 4, 5)),
     }
 
     @pytest.mark.parametrize("name", sorted(OPS))
@@ -186,6 +206,23 @@ class TestAgainstReferences:
         want = windowed_reference(enc, dec, params, cfg)
         assert got.shape == shape
         np.testing.assert_allclose(got.data, want, atol=1e-6)
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_padded_rows_with_nonzero_biases_reach_nothing(self, taped):
+        # a padded row projects to the bias; padded keys must still get zero
+        # weight and padded queries be dropped
+        rng = make_rng(78)
+        enc, dec = random_pair(rng, n=2, c=3, h=9, w=6)
+        params = init_lfam_params(3, rng, dtype=np.float64)
+        for t in (params.query.bias, params.key.bias, params.value.bias):
+            t.data[...] = 5 * rng.standard_normal(t.shape)
+        cfg = LfamConfig(local_range=4)
+        with Tape() if taped else contextlib.nullcontext():
+            got = lfam_forward(enc, dec, params, cfg)
+        np.testing.assert_allclose(got.data, windowed_reference(enc, dec, params, cfg), atol=1e-10)
+        _, attn = lfam_attention(enc, dec, params, cfg)
+        dead = ~attn.grid.key_mask.reshape(attn.grid.n_windows, 16)
+        assert (attn.weights.transpose(0, 1, 3, 2)[:, dead] == 0).all()
 
     @pytest.mark.parametrize("scale,swap", [(True, False), (False, True), (True, True)])
     def test_reference_honors_flags(self, scale, swap):
@@ -355,19 +392,21 @@ class TestTapeSize:
     def _ops(side, m):
         rng = make_rng(36)
         enc, dec = random_pair(rng, c=4, h=side, w=side, dtype=np.float32)
+        enc.requires_grad = dec.requires_grad = True  # as a U-Net's maps do
         with Tape() as tape:
             lfam_forward(enc, dec, init_lfam_params(4, rng), LfamConfig(local_range=m))
         return [node.op for node in tape.nodes]
 
-    def test_unpadded_call_records_nine_nodes(self):
-        # 3 projections, 3 splits, window core, merge, residual add
-        assert self._ops(8, 4) == ["conv2d"] * 3 + ["window_split"] * 3 + [
-            "window_attention", "window_merge", "add"]
+    # each map copied into rows once, 3 projections on rows, the window core,
+    # and one merge that crops and adds the residual
+    SEVEN = ["window_split", "window_project", "window_split", "window_project",
+             "window_project", "window_attention", "window_merge"]
 
-    def test_padded_call_records_thirteen_nodes(self):
-        # 3 projections, 3 x (pad, split), window core, merge, crop, residual add
-        assert self._ops(7, 4) == ["conv2d"] * 3 + ["pad_bottom_right", "window_split"] * 3 + [
-            "window_attention", "window_merge", "crop_top_left", "add"]
+    def test_unpadded_call_records_seven_nodes(self):
+        assert self._ops(8, 4) == self.SEVEN
+
+    def test_padded_call_records_seven_nodes(self):
+        assert self._ops(7, 4) == self.SEVEN
 
 
 class TestWindowCore:
@@ -388,17 +427,37 @@ class TestWindowCore:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("padded", [False, True])
     @pytest.mark.parametrize("scale_logits", [False, True])
-    def test_matches_the_taped_chain_bitwise(self, dtype, padded, scale_logits):
+    def test_matches_one_block_bitwise_and_the_taped_chain_closely(self, monkeypatch, dtype,
+                                                                   padded, scale_logits):
         rng, q, k, v, mask = self._rows(41, dtype, padded)
         r = Tensor(rng.standard_normal(q.shape), dtype=dtype)
         scale = float(1.0 / np.sqrt(3)) if scale_logits else None
-        with Tape() as tape:
-            out, p = _window_core(q, k, v, mask, scale)
-            loss = sum_all(mul(out, r))
-        assert [node.op for node in tape.nodes[:1]] == ["window_attention"]
-        backward(tape, loss)
 
-        q2, k2, v2 = (Tensor(t.data.copy(), requires_grad=True) for t in (q, k, v))
+        def core(q, k, v):
+            with Tape() as tape:
+                out, p = _window_core(q, k, v, mask, scale)
+                loss = sum_all(mul(out, r))
+            assert [node.op for node in tape.nodes[:1]] == ["window_attention"]
+            backward(tape, loss)
+            return out, p
+
+        def fresh():
+            return [Tensor(t.data.copy(), requires_grad=True) for t in (q, k, v)]
+
+        out, p = core(q, k, v)
+        monkeypatch.setattr(attention, "_BLOCK_BYTES", 1 << 30)
+        whole = fresh()
+        out1, p1 = core(*whole)  # one block
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out.data, out1.data)
+        np.testing.assert_array_equal(p, p1)
+        for got, ref in zip((q, k, v), whole):
+            np.testing.assert_array_equal(got.grad, ref.grad)
+
+        # the chain shifts by the row max and normalises P; the core
+        # normalises E·v and folds the scale into q, so they agree to rounding
+        chain = fresh()
+        q2, k2, v2 = chain
         with Tape() as tape:
             scores = bmm(q2, permute(k2, (0, 1, 3, 2)))
             if scale is not None:
@@ -407,12 +466,15 @@ class TestWindowCore:
             want = bmm(weights, v2)
             loss = sum_all(mul(want, r))
         backward(tape, loss)
-
-        assert out.dtype == dtype
-        np.testing.assert_array_equal(out.data, want.data)
-        np.testing.assert_array_equal(p, weights.data)
-        for got, ref in ((q, q2), (k, k2), (v, v2)):
-            np.testing.assert_array_equal(got.grad, ref.grad)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(out.data, want.data, rtol=tol, atol=tol)
+        np.testing.assert_allclose(p, weights.data, rtol=tol, atol=tol)
+        if padded:  # masked keys: exactly zero weight and zero gradient
+            dead = ~np.broadcast_to(mask, p.shape[:2] + (1, 16))[:, :, 0]
+            assert (p.transpose(0, 1, 3, 2)[dead] == 0).all()
+            assert (k.grad[dead] == 0).all() and (v.grad[dead] == 0).all()
+        for got, ref in zip((q, k, v), chain):
+            np.testing.assert_allclose(got.grad, ref.grad, rtol=tol, atol=tol)
 
     @pytest.mark.parametrize("padded", [False, True])
     def test_vjp_leaves_g_unchanged(self, padded):
@@ -461,17 +523,120 @@ class TestWindowCoreInBlocks(TestWindowCore):
                                               (np.float64, [3, 3, 3, 3, 3, 1])])
     def test_vjp_runs_the_softmax_gradient_once_per_block(self, monkeypatch, dtype, sizes):
         seen = []
+        scores_grad = attention._scores_grad
 
-        def recording(g, p, axis, overwrite=False):
-            seen.append(g.shape[1])
-            return _softmax_grad(g, p, axis, overwrite)
+        def recording(dp, p, g, o):
+            seen.append(len(dp))
+            return scores_grad(dp, p, g, o)
 
-        monkeypatch.setattr(attention, "_softmax_grad", recording)
+        monkeypatch.setattr(attention, "_scores_grad", recording)
         rng, q, k, v, mask = self._rows(43, dtype, True)
         with Tape() as tape:
             out, _ = _window_core(q, k, v, mask, None)
         tape.nodes[0].vjp(rng.standard_normal(out.shape).astype(dtype))
         assert seen == sizes
+
+
+class TestScoreRange:
+    """The core takes exp without the row shift only in windows whose scores
+    all lie in (-b, b), b = ½·ln(dtype max); every other window is masked
+    with -inf and shifted by its row max, as a softmax was before."""
+
+    @staticmethod
+    def _core(q, k, v, mask, scale=None, keep_p=True, taped=False):
+        # overflow in exp or a 0/0 in the normaliser would raise here
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if not taped:
+                return _window_core(q, k, v, mask, scale, keep_p)
+            with Tape() as tape:
+                out, p = _window_core(q, k, v, mask, scale, keep_p)
+                loss = sum_all(mul(out, out))
+            backward(tape, loss)
+            return out, p
+
+    @staticmethod
+    def _outer(qs, ks, dtype=np.float32):
+        """One window whose scores are the outer product of qs and ks (d = 1)."""
+        q = Tensor(np.asarray(qs, dtype=dtype).reshape(1, 1, -1, 1), requires_grad=True)
+        k = Tensor(np.asarray(ks, dtype=dtype).reshape(1, 1, -1, 1), requires_grad=True)
+        v = Tensor(make_rng(60).standard_normal(k.shape).astype(dtype), requires_grad=True)
+        return q, k, v
+
+    def test_bounds_follow_the_dtype(self):
+        assert 0.5 * np.log(np.finfo(np.float32).max) == pytest.approx(44.36, abs=0.01)
+        assert 0.5 * np.log(np.finfo(np.float64).max) == pytest.approx(354.9, abs=0.1)
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_scores_at_plus_and_minus_a_thousand(self, taped):
+        q, k, v = self._outer([1.0, 1.0, -1.0, 0.5], [1000.0, -1000.0, 1000.0, -1000.0])
+        out, p = self._core(q, k, v, None, taped=taped)
+        assert np.isfinite(out.data).all() and np.isfinite(p).all()
+        np.testing.assert_allclose(p.sum(axis=3), 1.0, rtol=1e-6)
+        np.testing.assert_array_equal(p[0, 0, 0], [0.5, 0.0, 0.5, 0.0])
+        np.testing.assert_array_equal(p[0, 0, 2], [0.0, 0.5, 0.0, 0.5])
+        if taped:
+            for t in (q, k, v):
+                assert np.isfinite(t.grad).all()
+
+    @pytest.mark.parametrize("keep_p", [False, True])
+    def test_a_row_wholly_at_minus_two_hundred(self, keep_p):
+        # unshifted, float32 exp(-200) is 0 and the row would be 0/0
+        q, k, v = self._outer([1.0, 1e-3, 2e-3, 3e-3], [-200.0] * 4)
+        out, p = self._core(q, k, v, None, keep_p=keep_p)
+        assert np.isfinite(out.data).all()
+        np.testing.assert_allclose(out.data[0, 0, 0, 0], v.data.mean(), rtol=1e-6)
+        if keep_p:
+            np.testing.assert_allclose(p.sum(axis=3), 1.0, rtol=1e-6)
+            np.testing.assert_array_equal(p[0, 0, 0], np.full(4, 0.25, np.float32))
+
+    @pytest.mark.parametrize("keep_p", [False, True])
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_padded_window_whose_real_scores_are_far_below_zero(self, keep_p, taped):
+        # 7x7 map, m=4: window 3 has one real key.  Real keys score -300,
+        # padded keys 0 (their k rows are zero), so a row max taken before
+        # masking would be 0 and every real weight would underflow.
+        grid = window_partition(7, 7, 4)
+        real = grid.key_mask.reshape(4, 16)
+        q = Tensor(np.ones((2, 4, 16, 1), np.float32), requires_grad=True)
+        k = Tensor(np.where(real, -300.0, 0.0).reshape(1, 4, 16, 1).repeat(2, axis=0)
+                   .astype(np.float32), requires_grad=True)
+        v = Tensor(make_rng(61).standard_normal((2, 4, 16, 1)).astype(np.float32) * real[..., None],
+                   requires_grad=True)
+        mask = grid.key_mask.reshape(1, 4, 1, 16)
+        out, p = self._core(q, k, v, mask, keep_p=keep_p, taped=taped)
+        assert np.isfinite(out.data).all()
+        means = v.data[..., 0].sum(axis=2) / real.sum(axis=1)
+        np.testing.assert_allclose(out.data[..., 0], np.repeat(means[..., None], 16, axis=2),
+                                   rtol=1e-5, atol=1e-6)
+        if p is not None:
+            np.testing.assert_allclose(p.sum(axis=3), 1.0, rtol=1e-6)
+            assert (p.transpose(0, 1, 3, 2)[:, ~real] == 0).all()
+        if taped:
+            assert np.isfinite(k.grad).all() and np.isfinite(v.grad).all()
+            assert (k.grad[:, ~real] == 0).all() and (v.grad[:, ~real] == 0).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("padded", [False, True])
+    @pytest.mark.parametrize("scale", [None, 0.5])
+    @pytest.mark.parametrize("keep_p", [False, True])
+    def test_small_scores_equal_the_unshifted_formula_bitwise(self, dtype, padded, scale, keep_p):
+        rng = make_rng(62)
+        grid = window_partition(7, 7, 4) if padded else window_partition(8, 8, 4)
+        q, k, v = (Tensor(rng.standard_normal((3, 4, 16, 3)), dtype=dtype) for _ in range(3))
+        mask = grid.key_mask.reshape(1, 4, 1, 16) if padded else None
+        out, p = self._core(q, k, v, mask, scale, keep_p)
+
+        # E = exp(q kᵀ), with the scale in q; E·[v | keys] gives E·v and the row sums
+        keys = (np.ones((1, 4, 16, 1), dtype) if mask is None
+                else mask.reshape(1, 4, 16, 1).astype(dtype))
+        keys = np.broadcast_to(keys, (3, 4, 16, 1))
+        qs = q.data if scale is None else q.data * scale
+        e = np.exp(np.matmul(qs, k.data.swapaxes(-1, -2)))
+        ev = np.matmul(e, np.concatenate([v.data * keys, keys], axis=3))
+        np.testing.assert_array_equal(out.data, ev[..., :3] / ev[..., 3:])
+        if keep_p:
+            real = np.broadcast_to(keys.swapaxes(-1, -2) == 1, e.shape)
+            np.testing.assert_array_equal(p, np.where(real, e, 0) / ev[..., 3:])
 
 
 class TestNoTapeForwardInBlocks:

@@ -274,7 +274,7 @@ def test_focal_iou_loss_records_seventeen_nodes():
     assert len(tape.nodes) == 17
 
 
-def test_desk_step_records_sixty_nodes():
+def test_desk_step_records_fifty_six_nodes():
     # the criterion-7 step: batch 8, 32x32, base 8, depth 2, m=4, encoder residual
     lf = LfamConfig(local_range=4, residual_source=ResidualSource.ENCODER)
     model = build_unet(UNetConfig(num_classes=4, base_channels=8, depth=2,
@@ -285,7 +285,7 @@ def test_desk_step_records_sixty_nodes():
         logits = forward(model, x)
         forward_nodes = len(tape.nodes)
         focal_iou_loss(logits, rng.integers(0, 4, size=(8, 32, 32)), FocalIouLoss())
-    assert (forward_nodes, len(tape.nodes)) == (43, 60)
+    assert (forward_nodes, len(tape.nodes)) == (39, 56)
     # the window ops hand the core its rows, and take them back, with no view between
     assert "reshape" not in {node.op for node in tape.nodes}
 
