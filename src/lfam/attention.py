@@ -254,19 +254,13 @@ def init_lfam_params(in_channels: int, rng: np.random.Generator,
 class AttentionWeights:
     """Post-softmax scores, (n, n_windows, m*m, m*m): [batch, window, query, key].
 
-    Pixel (i, j) lives in window (i // m) * cols + (j // m) at in-window
-    position (i % m) * m + (j % m); positions continue past h, w into the
-    padding.  Padded key columns are exactly zero.
+    Windows and in-window positions follow window rows, whose order
+    _window_views defines; positions continue past h, w into the padding.
+    Padded key columns are exactly zero.
     """
 
     grid: WindowGrid
     weights: np.ndarray
-
-    def window_of(self, i: int, j: int) -> int:
-        return (i // self.grid.m) * self.grid.cols + (j // self.grid.m)
-
-    def position_in_window(self, i: int, j: int) -> int:
-        return (i % self.grid.m) * self.grid.m + (j % self.grid.m)
 
 
 def _validate_pair(encoder: Tensor, decoder: Tensor, params: LfamParams, cfg: LfamConfig) -> None:

@@ -27,7 +27,8 @@ from pathlib import Path
 from . import __version__
 from .attention import LfamConfig, ResidualSource
 from .costmodel import cost_report, network_cost_report, reference_levels, render_cost_table, report_record
-from .data import compute_class_weights, crop_tiles, gen_synthetic, load_dataset, replace_atomically, save_dataset
+from .data import (PGM_MAX_CLASSES, compute_class_weights, crop_tiles, gen_synthetic, load_dataset,
+                   replace_atomically, save_dataset)
 from .errors import ConfigError, LfamError, NumericalError
 from .rng import make_rng
 from .train import FocalIouLoss, TrainConfig, WeightedCeLoss, evaluate, nan_to_none, train_loop
@@ -117,6 +118,7 @@ class RunConfig:
 
     def __post_init__(self):
         _validate_fields(self)
+        self.unet_config()  # raises on a network no run could build
 
     # -- materializers ------------------------------------------------------
 
@@ -374,6 +376,9 @@ def _cmd_cost(cfg: RunConfig, out: Path, json_output: bool) -> int:
 
 
 def _cmd_gen_data(cfg: RunConfig, out: Path, json_output: bool) -> int:
+    if cfg.num_classes > PGM_MAX_CLASSES:
+        raise ConfigError(f"data.num_classes must be at most {PGM_MAX_CLASSES} for gen-data, "
+                          f"whose PGM masks hold one byte per label, got {cfg.num_classes}")
     root = Path(cfg.data_root) if cfg.data_root else out / "dataset"
     images = gen_synthetic(cfg.n_images, cfg.image_size, cfg.num_classes,
                            cfg.rare_class_frac, seed=cfg.seed)

@@ -25,6 +25,7 @@ _NOISE_HALF_WIDTH = 0.08
 _BASE_LO, _BASE_HI = 0.15, 0.9
 _PLACEMENT_RETRIES = 64
 _PGM_MAX_DIGITS = 9  # a longer PGM header number is malformed; int() refuses > 4300 digits
+PGM_MAX_CLASSES = 256  # an 8-bit PGM mask holds labels 0..255
 
 
 @dataclass(frozen=True)
@@ -272,12 +273,12 @@ def read_pgm(path) -> np.ndarray:
 
 def save_dataset(root, images: list[LabeledImage]) -> None:
     """images/NNNN.pgm holds the intensity map, masks/NNNN.pgm the class ids."""
+    if any(sample.mask.max() >= PGM_MAX_CLASSES for sample in images):  # before any directory exists
+        raise ContractError(f"PGM masks support at most {PGM_MAX_CLASSES} classes")
     root = Path(root)
     (root / "images").mkdir(parents=True, exist_ok=True)
     (root / "masks").mkdir(parents=True, exist_ok=True)
     for i, sample in enumerate(images):
-        if sample.mask.max() > 255:
-            raise ContractError("PGM masks support at most 256 classes")
         gray = np.clip(np.round(sample.image.data[0, 0] * 255.0), 0, 255).astype(np.uint8)
         write_pgm(root / "images" / f"{i:04d}.pgm", gray)
         write_pgm(root / "masks" / f"{i:04d}.pgm", sample.mask.astype(np.uint8))

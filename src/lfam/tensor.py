@@ -13,16 +13,16 @@ each half-batch on its own sub-tape and records one node over both; its
 vjp walks the two sub-tapes with leaf_grads in two threads, which share
 the parameters but write no .grad.
 
-Two ops may reuse the buffer they consume.  relu and masked_softmax take
-overwrite=True to write their result into their input's buffer once every
-check has passed; unet's conv blocks pass it for the conv or norm output.
-No vjp reads those inputs (relu's vjp masks with its output: out > 0 is
-a > 0).  The window-attention core (attention._window_core) calls no
-masked_softmax: it takes exp in its own score buffer and normalises
-through its P·V product.  No vjp writes into the gradient it is handed;
-the one in-place gradient write is inside that core's vjp, which turns
-each block of windows' probability gradient into their scores' gradient
-in one block-sized buffer that it formed and reuses for every block.
+One op may reuse the buffer it consumes: relu takes overwrite=True to
+write its result into its input's buffer, and unet's conv blocks pass it
+for the conv or norm output.  No vjp reads that input (relu's vjp masks
+with its output: out > 0 is a > 0).  The window-attention core
+(attention._window_core) calls no masked_softmax: it takes exp in its
+own score buffer and normalises through its P·V product.  No vjp writes
+into the gradient it is handed; the one in-place gradient write is inside
+that core's vjp, which turns each block of windows' probability gradient
+into their scores' gradient in one block-sized buffer that it formed and
+reuses for every block.
 
 Training code runs in float32; gradient checking must run in float64
 because central differences are unreliable in single precision.
@@ -383,8 +383,7 @@ def bmm(a: Tensor, b: Tensor, *, out: np.ndarray | None = None) -> Tensor:
 # softmax
 
 
-def _softmax(a: Tensor, axis: int, mask: np.ndarray | None, op: str,
-             overwrite: bool = False) -> Tensor:
+def _softmax(a: Tensor, axis: int, mask: np.ndarray | None, op: str) -> Tensor:
     x = a.data
     # NaN and -inf show in the min, +inf in the max: no full-size bool scan
     row_max = x.max(axis=axis, keepdims=True) if mask is None else None
@@ -392,14 +391,14 @@ def _softmax(a: Tensor, axis: int, mask: np.ndarray | None, op: str,
     if not (np.isfinite(x.min()) and np.isfinite(hi)):
         raise NumericalError(f"{op}: logits contain non-finite values")
     if mask is None:
-        p = np.subtract(x, row_max, out=x if overwrite else None)
+        p = x - row_max
     else:
         mask = np.asarray(mask, dtype=bool)
         mask = mask.reshape((1,) * (x.ndim - mask.ndim) + mask.shape)
         np.broadcast_to(mask, x.shape)  # raises unless mask broadcasts to the logits
         if not mask.any(axis=axis).all():
             raise DegenerateWindowError(f"{op}: a row has every position masked")
-        p = x if overwrite else x.copy()
+        p = x.copy()
         np.copyto(p, -np.inf, where=~mask)
         p -= p.max(axis=axis, keepdims=True)
     np.exp(p, out=p)
@@ -416,7 +415,7 @@ def _softmax_grad(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
     return gx
 
 
-def masked_softmax(logits: Tensor, mask: np.ndarray | None, *, overwrite: bool = False) -> Tensor:
+def masked_softmax(logits: Tensor, mask: np.ndarray | None) -> Tensor:
     """Softmax over the last axis; masked positions output exactly 0.
 
     mask is a boolean array broadcastable to logits, True marking real
@@ -424,11 +423,8 @@ def masked_softmax(logits: Tensor, mask: np.ndarray | None, *, overwrite: bool =
     to -inf before the row max is subtracted, so exp gives them exactly 0
     and they add nothing to the row sum.  Unmasked outputs sum to 1 per
     row; a fully masked row is a degenerate window and raises.
-
-    overwrite=True writes the result into the logits' buffer once every
-    check has passed; no vjp reads the logits.
     """
-    return _softmax(logits, 3, mask, "masked_softmax", overwrite)
+    return _softmax(logits, 3, mask, "masked_softmax")
 
 
 def softmax(logits: Tensor) -> Tensor:

@@ -14,6 +14,7 @@ a differently-shaped network by comparing an architecture fingerprint.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import struct
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .attention import LfamConfig, init_lfam_params, lfam_forward
+from .attention import LfamConfig, ResidualSource, init_lfam_params, lfam_forward
 from .costmodel import attention_flops_local, fusion_levels
 from .errors import CheckpointError, ConfigError, ContractError, ShapeError
 from .ops import ConvParams, channel_norm, conv2d, he_conv, init_norm, maxpool2x2, upconv2x2
@@ -67,6 +68,13 @@ class UNetConfig:
             object.__setattr__(self, "skips", tuple(SkipSpec() for _ in range(self.depth)))
         elif len(self.skips) != self.depth:
             raise ConfigError(f"{len(self.skips)} skip specs for depth {self.depth}")
+        for i, s in enumerate(self.skips):
+            # the residual adds the level's map to the fused one, so they must agree in width
+            if (s.lfam is not None and s.lfam.residual_source is not ResidualSource.NONE
+                    and s.lfam.proj_channels not in (None, self.level_width(i))):
+                raise ConfigError(f"level {i}'s lfam skip adds a residual, so proj_channels must "
+                                  f"be unset or its width {self.level_width(i)}, "
+                                  f"got {s.lfam.proj_channels}")
 
     def level_width(self, i: int) -> int:
         return self.base_channels << i
@@ -259,18 +267,19 @@ def forward(model: ModelState, x: Tensor, lfam_fn=None) -> Tensor:
 
     With the built-in fusion (lfam_fn None), a batch whose first ceil(n/2)
     images hold at least _SHARD_MIN_PIXELS pixels is split there, and the
-    two halves run as shards through _run_shards.  No layer couples images,
+    halves run as shards through _split_forward.  No layer couples images,
     so the logits are bitwise those of the whole batch.  The split depends
     only on x's shape; the number of cores only decides whether the shards
     run concurrently or one after the other.  A substituted lfam_fn always
     runs serially in the calling thread, since it need not be thread-safe.
 
-    Under an active tape each shard records on its own sub-tape, and the
-    active tape gets one "unet_shards" node whose inputs are the
-    parameters, plus x when it requires a gradient.  Its vjp walks both
-    sub-tapes through _run_shards and adds their parameter gradients in
-    shard order.  Each weight gradient's sum over the batch is so taken as
-    two halves, which moves it at float rounding from the unsplit batch's.
+    Under an active tape each shard records on its own sub-tape (with no
+    tape, none is opened), and the active tape gets one "unet_shards" node
+    whose inputs are the parameters, plus x when it requires a gradient.
+    Its vjp walks both sub-tapes through _run_shards and adds their
+    parameter gradients in shard order.  Each weight gradient's sum over
+    the batch is so taken as two halves, which moves it at float rounding
+    from the unsplit batch's.
     """
     cfg = model.config
     n, c, h, w = x.shape
@@ -282,24 +291,23 @@ def forward(model: ModelState, x: Tensor, lfam_fn=None) -> Tensor:
     half = (n + 1) // 2
     if lfam_fn is not None or n < 2 or half * h * w < _SHARD_MIN_PIXELS:
         return _forward_layers(model, x, lfam_fn or lfam_forward)
-    if _active_tape() is not None:
-        return _taped_shards(model, x, half)
-    parts = _run_shards(lambda t: _forward_layers(model, t, lfam_forward),
-                        Tensor(x.data[:half]), Tensor(x.data[half:]))
-    return Tensor(np.concatenate([t.data for t in parts]))
+    return _split_forward(model, x, half)
 
 
-def _taped_shards(model: ModelState, x: Tensor, half: int) -> Tensor:
-    """The split forward under a tape: one node on it over two shard sub-tapes."""
+def _split_forward(model: ModelState, x: Tensor, half: int) -> Tensor:
+    """The network on x[:half] and x[half:] as two shards; see forward."""
+    taped = _active_tape() is not None
 
-    def shard_forward(t: Tensor) -> tuple[Tape, Tensor]:
-        with Tape() as tape:
+    def shard_forward(t: Tensor) -> tuple[Tape | None, Tensor]:
+        with Tape() if taped else contextlib.nullcontext() as tape:
             return tape, _forward_layers(model, t, lfam_forward)
 
     xs = (Tensor(x.data[:half], requires_grad=x.requires_grad),
           Tensor(x.data[half:], requires_grad=x.requires_grad))
     shards = _run_shards(shard_forward, *xs)
     logits = np.concatenate([out.data for _, out in shards])
+    if not taped:
+        return Tensor(logits)
     for (_, out), part in zip(shards, (logits[:half], logits[half:])):
         out.data = part  # the tape then holds one copy of the logits, not two
     params = [p for p in model.params.values() if p.requires_grad]

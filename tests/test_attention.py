@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from lfam import attention
 from lfam.attention import (
-    AttentionWeights,
     LfamConfig,
     LfamParams,
     ResidualSource,
@@ -317,13 +316,6 @@ class TestPaddingSemantics:
         query_real = attn.grid.key_mask.reshape(nw, mm)
         for wi in range(nw):
             np.testing.assert_allclose(sums[:, wi, query_real[wi]], 1.0, atol=1e-6)
-
-    def test_weight_indexing_helpers(self):
-        grid = window_partition(10, 10, 7)
-        attn = AttentionWeights(grid, np.zeros((1, grid.n_windows, 49, 49)))
-        assert attn.window_of(0, 0) == 0
-        assert attn.window_of(9, 9) == 3
-        assert attn.position_in_window(8, 9) == 1 * 7 + 2
 
 
 class TestResidualAndShape:

@@ -164,6 +164,11 @@ class TestMaterializers:
         assert unet.skips[0].lfam.local_range == 3
         assert unet.skips[0].lfam.proj_channels == 4
 
+    def test_residual_projection_narrower_than_the_level_is_rejected(self):
+        with pytest.raises(ConfigError, match="level 1's lfam skip"):
+            RunConfig(skip="lfam", base_channels=8, depth=2, proj_channels=8)
+        RunConfig(skip="concat", base_channels=8, depth=2, proj_channels=8)  # no fusion to project
+
     def test_concat_skip_has_no_lfam(self):
         unet = RunConfig(skip="concat").unet_config()
         assert all(s.kind == "concat" and s.lfam is None for s in unet.skips)
@@ -242,6 +247,17 @@ class TestSubcommands:
         assert f"{cfg}:{line}: loss.class_weights has 3 entries for 2 classes" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("depth, proj", [(1, 4), (2, 2)])
+    def test_projection_a_residual_cannot_add_is_config_error_before_any_output(
+            self, tmp_path, capsys, depth, proj):
+        # base 2: proj 2 fits level 0 but not level 1, which is 4 wide
+        text = SMALL_TRAIN.replace("unet.depth=1", f"unet.depth={depth}")
+        cfg = write_cfg(tmp_path, text + f"lfam.proj_channels={proj}\n")
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "proj_channels" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", UNBOUNDED_FLOAT_KEYS)
     def test_infinite_float_is_config_error_before_any_output(self, tmp_path, capsys, key):
         text = SMALL_TRAIN + f"{key}=inf\n"
@@ -287,6 +303,13 @@ class TestSubcommands:
         assert len(list((tmp_path / "ds" / "images").glob("*.pgm"))) == 8
         assert len(list((tmp_path / "ds" / "masks").glob("*.pgm"))) == 8
         assert "wrote 8 images" in capsys.readouterr().out
+
+    def test_gen_data_with_more_classes_than_a_pgm_holds_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_TRAIN.replace("num_classes=2", "num_classes=300"))
+        out = tmp_path / "out"
+        assert main(["gen-data", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "data.num_classes" in capsys.readouterr().err
+        assert not (out / "dataset").exists()
 
     def test_train_from_generated_dataset_on_disk(self, tmp_path):
         base = SMALL_TRAIN + f"data.root={tmp_path / 'ds'}\n"

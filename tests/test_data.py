@@ -304,6 +304,13 @@ class TestDatasetRoundTrip:
         assert sorted(p.name for p in (tmp_path / "images").iterdir()) == ["0000.pgm", "0001.pgm"]
         assert sorted(p.name for p in (tmp_path / "masks").iterdir()) == ["0000.pgm", "0001.pgm"]
 
+    def test_mask_label_past_a_byte_raises_before_any_directory(self, tmp_path):
+        images = gen_synthetic(2, size=16, num_classes=2, rare_class_frac=0.04, seed=6)
+        images[1].mask[3, 4] = 256
+        with pytest.raises(ContractError, match="at most 256 classes"):
+            save_dataset(tmp_path / "ds", images)
+        assert not (tmp_path / "ds").exists()
+
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "nowhere")

@@ -531,13 +531,14 @@ class TestTrainLoop:
         images = gen_synthetic(8, size=64, num_classes=2, rare_class_frac=0.05, seed=2)
         train_cfg = TrainConfig(epochs=1, batch_size=4, lr_base=3e-3, seed=7)
         splits = []
-        taped_shards = lfam.unet._taped_shards
+        split_forward = lfam.unet._split_forward
 
         def counting(*args):
-            splits.append(args[1].shape)
-            return taped_shards(*args)
+            if lfam.unet._active_tape() is not None:  # training steps, not validation
+                splits.append(args[1].shape)
+            return split_forward(*args)
 
-        monkeypatch.setattr(lfam.unet, "_taped_shards", counting)
+        monkeypatch.setattr(lfam.unet, "_split_forward", counting)
         logs = []
         for cores in (2, 2, 1):
             monkeypatch.setattr(lfam.unet, "_cores", lambda cores=cores: cores)

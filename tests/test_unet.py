@@ -61,6 +61,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SkipSpec(kind="concat", lfam=LfamConfig())
 
+    @pytest.mark.parametrize("depth, proj", [(1, 4), (2, 8)], ids=["level0", "level1"])
+    @pytest.mark.parametrize("residual", [ResidualSource.ENCODER, ResidualSource.DECODER])
+    def test_residual_skip_needs_its_level_width(self, depth, proj, residual):
+        # base 8: level 0 is 8 wide and level 1 16, so proj 8 fits level 0 only
+        spec = SkipSpec(kind="lfam", lfam=LfamConfig(residual_source=residual, proj_channels=proj))
+        with pytest.raises(ConfigError, match=f"level {depth - 1}'s lfam skip"):
+            UNetConfig(base_channels=8, depth=depth, skips=(spec,) * depth)
+
+    @pytest.mark.parametrize("residual, proj", [(ResidualSource.ENCODER, 8),
+                                                (ResidualSource.ENCODER, None),
+                                                (ResidualSource.NONE, 4)])
+    def test_projection_width_a_level_can_take(self, residual, proj):
+        spec = SkipSpec(kind="lfam", lfam=LfamConfig(residual_source=residual, proj_channels=proj))
+        UNetConfig(base_channels=8, depth=1, skips=(spec,))
+
     def test_fingerprint_tracks_architecture(self):
         a = config_fingerprint(small_cfg("concat"))
         b = config_fingerprint(small_cfg("lfam"))
@@ -404,6 +419,24 @@ class TestShardedStep:
         np.testing.assert_array_equal(loss.data, loss0.data)
         np.testing.assert_array_equal(logits.data, logits0.data)
         assert_close_to_serial(got, want, dtype)
+
+    def test_only_a_taped_split_opens_sub_tapes(self, helper, monkeypatch):
+        # a no-tape forward (evaluation) must hold no sub-tape of either shard
+        opened = []
+
+        class CountingTape(Tape):
+            def __init__(self):
+                super().__init__()
+                opened.append(self)
+
+        monkeypatch.setattr(unet, "Tape", CountingTape)
+        model, x, _ = wide16_batch(4, 78)
+        forward(model, x)
+        assert opened == [] and len(helper.futures) == 1
+        with Tape() as tape:
+            forward(model, x)
+        assert len(opened) == 2 and len(helper.futures) == 2
+        assert [node.op for node in tape.nodes] == ["unet_shards"]
 
     def test_many_attention_blocks_give_the_one_block_step_bitwise(self, helper, monkeypatch):
         # one window per block (32 blocks per shard at level 0) against one
