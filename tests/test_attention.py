@@ -317,6 +317,23 @@ class TestPaddingSemantics:
         for wi in range(nw):
             np.testing.assert_allclose(sums[:, wi, query_real[wi]], 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("h,w,m", [(10, 10, 7), (14, 14, 7), (9, 16, 4)])
+    def test_window_rows_follow_the_documented_order(self, h, w, m):
+        grid = window_partition(h, w, m)
+        ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+        x = np.stack([np.stack([ii, jj]) + 100 * b for b in range(2)]).astype(np.float64)
+        rows = attention._to_rows(x, m, grid.n_windows, grid.padded)
+        for i in range(h):
+            for j in range(w):
+                win, pos = (i // m) * grid.cols + j // m, (i % m) * m + j % m
+                np.testing.assert_array_equal(rows[:, win, pos], x[:, :, i, j])
+        real = grid.key_mask.reshape(grid.n_windows, m * m)
+        assert real.sum() == h * w
+        np.testing.assert_array_equal(rows[:, ~real], 0.0)
+        if (h, w, m) == (10, 10, 7):  # pixel (9, 9) is in the last window, (8, 9) at 1 * 7 + 2
+            np.testing.assert_array_equal(rows[0, 3, 2 * 7 + 2], [9, 9])
+            np.testing.assert_array_equal(rows[0, 3, 1 * 7 + 2], [8, 9])
+
 
 class TestResidualAndShape:
     def test_residual_modes_differ_by_the_added_map(self):

@@ -229,6 +229,13 @@ class TestSoftmax:
         with pytest.raises(NumericalError):
             masked_softmax(Tensor(x), _window_mask(kind))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_channel_softmax_rejects_non_finite_logits(self, bad):
+        x = np.zeros((2, 5, 3, 3), dtype=np.float32)
+        x[1, 4, 2, 0] = bad
+        with pytest.raises(NumericalError, match="^softmax:"):
+            softmax(Tensor(x))
+
     def test_channel_softmax_sums_to_one(self):
         rng = make_rng(3)
         p = softmax(Tensor(rng.standard_normal((2, 5, 3, 3))))
