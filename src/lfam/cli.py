@@ -23,6 +23,7 @@ import subprocess
 import sys
 from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .attention import LfamConfig, ResidualSource
@@ -293,22 +294,25 @@ def _write_provenance(out: Path, cfg: RunConfig, command: str) -> None:
         indent=2) + "\n")
 
 
+def _check_fits_network(cfg: RunConfig, key: str, size: int) -> None:
+    factor = 1 << cfg.depth
+    if size % factor:
+        raise ConfigError(f"{key} must be a multiple of 2**unet.depth = {factor}, got {size}")
+
+
 def _load_images(cfg: RunConfig):
     # sizes the network cannot take fail here, before any data is generated
-    factor = 1 << cfg.depth
-    if cfg.tile % factor:
-        raise ConfigError(f"data.tile must be a multiple of 2**unet.depth = {factor}, got {cfg.tile}")
+    _check_fits_network(cfg, "data.tile", cfg.tile)
     if not cfg.data_root and cfg.tile > cfg.image_size:
         raise ConfigError(f"data.tile must be at most data.size = {cfg.image_size}, got {cfg.tile}")
-    if not cfg.data_root and not cfg.tile and cfg.image_size % factor:
-        raise ConfigError(f"data.size must be a multiple of 2**unet.depth = {factor}, "
-                          f"got {cfg.image_size}")
+    if not cfg.data_root and not cfg.tile:
+        _check_fits_network(cfg, "data.size", cfg.image_size)
     if cfg.data_root:
         # tiles need images at least a tile wide; untiled images must fit the
         # network and share one size, as batches stack them
         images = load_dataset(cfg.data_root, cfg.num_classes,
-                              side_multiple=1 if cfg.tile else factor, min_side=max(cfg.tile, 1),
-                              same_size=not cfg.tile)
+                              side_multiple=1 if cfg.tile else 1 << cfg.depth,
+                              min_side=max(cfg.tile, 1), same_size=not cfg.tile)
     else:
         images = gen_synthetic(cfg.n_images, cfg.image_size, cfg.num_classes,
                                cfg.rare_class_frac, seed=cfg.seed)
@@ -325,70 +329,89 @@ def _split_train_val(images, cfg: RunConfig):
     return train, val
 
 
-def _cmd_train(cfg: RunConfig, out: Path, json_output: bool) -> int:
+def _cmd_train(cfg: RunConfig, out: Path, json_output: bool) -> Callable[[], int]:
     images = _load_images(cfg)
     train, val = _split_train_val(images, cfg)
+    if not train:
+        raise ConfigError(f"data.val_frac={cfg.val_frac!r} leaves no training image "
+                          f"({len(images)} in validation)")
     fallback = None
     if cfg.loss_kind == "weighted_ce" and not cfg.class_weights:
         fallback = compute_class_weights([im.mask for im in train], cfg.num_classes)
     loss = cfg.loss_config(fallback_weights=fallback)
     model = build_unet(cfg.unet_config(), seed=cfg.seed)
-    run = train_loop(model, (train, val), cfg.train_config(loss), out_dir=out)
-    print(f"trained {cfg.epochs} epochs on {len(train)} images "
-          f"({len(val)} validation)")
-    if run.records and val:
-        print(f"best val mean IoU {run.best_val_mean_iou:.4f} at epoch {run.best_epoch}")
-    print(f"outputs in {out}")
-    return EXIT_OK
+
+    def step() -> int:
+        run = train_loop(model, (train, val), cfg.train_config(loss), out_dir=out)
+        print(f"trained {cfg.epochs} epochs on {len(train)} images "
+              f"({len(val)} validation)")
+        if run.records and val:
+            print(f"best val mean IoU {run.best_val_mean_iou:.4f} at epoch {run.best_epoch}")
+        print(f"outputs in {out}")
+        return EXIT_OK
+    return step
 
 
-def _cmd_eval(cfg: RunConfig, out: Path, json_output: bool) -> int:
+def _cmd_eval(cfg: RunConfig, out: Path, json_output: bool) -> Callable[[], int]:
     if not cfg.checkpoint:
         raise ConfigError("eval.checkpoint is required for the eval subcommand")
     model = load_checkpoint(cfg.checkpoint, cfg.unet_config())
     images = _load_images(cfg)
-    per_class, miou = evaluate(model, images, cfg.batch_size)
-    for i, v in enumerate(per_class):
-        print(f"class {i} IoU: {v:.4f}")
-    print(f"mean IoU: {miou:.4f} over {len(images)} images")
-    _write_text(out / "eval.json", json.dumps(
-        {"checkpoint": cfg.checkpoint, "mean_iou": nan_to_none(miou),
-         "per_class_iou": [nan_to_none(v) for v in per_class]}, indent=2) + "\n")
-    return EXIT_OK
+
+    def step() -> int:
+        per_class, miou = evaluate(model, images, cfg.batch_size)
+        for i, v in enumerate(per_class):
+            print(f"class {i} IoU: {v:.4f}")
+        print(f"mean IoU: {miou:.4f} over {len(images)} images")
+        _write_text(out / "eval.json", json.dumps(
+            {"checkpoint": cfg.checkpoint, "mean_iou": nan_to_none(miou),
+             "per_class_iou": [nan_to_none(v) for v in per_class]}, indent=2) + "\n")
+        return EXIT_OK
+    return step
 
 
-def _cmd_gradcheck(cfg: RunConfig, out: Path, json_output: bool) -> int:
-    results = gradient_suite(seed=cfg.seed)
-    print(render_suite(results))
-    return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERICAL
+def _cmd_gradcheck(cfg: RunConfig, out: Path, json_output: bool) -> Callable[[], int]:
+    def step() -> int:
+        results = gradient_suite(seed=cfg.seed)
+        print(render_suite(results))
+        return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERICAL
+    return step
 
 
-def _cmd_cost(cfg: RunConfig, out: Path, json_output: bool) -> int:
+def _cmd_cost(cfg: RunConfig, out: Path, json_output: bool) -> Callable[[], int]:
     if cfg.cost_geometry == "reference":
         report = cost_report(reference_levels(cfg.local_range))
     else:
+        if cfg.skip != "lfam":
+            raise ConfigError(f"cost.geometry=model needs unet.skip=lfam, got {cfg.skip!r}")
+        _check_fits_network(cfg, "cost.input_size", cfg.cost_input_size)
         report = network_cost_report(cfg.unet_config(), cfg.cost_input_size)
-    if json_output:
-        print(json.dumps(report_record(report), indent=2))
-    else:
-        print(render_cost_table(report))
-    return EXIT_OK
+
+    def step() -> int:
+        print(json.dumps(report_record(report), indent=2) if json_output
+              else render_cost_table(report))
+        return EXIT_OK
+    return step
 
 
-def _cmd_gen_data(cfg: RunConfig, out: Path, json_output: bool) -> int:
+def _cmd_gen_data(cfg: RunConfig, out: Path, json_output: bool) -> Callable[[], int]:
     if cfg.num_classes > PGM_MAX_CLASSES:
         raise ConfigError(f"data.num_classes must be at most {PGM_MAX_CLASSES} for gen-data, "
                           f"whose PGM masks hold one byte per label, got {cfg.num_classes}")
     root = Path(cfg.data_root) if cfg.data_root else out / "dataset"
     images = gen_synthetic(cfg.n_images, cfg.image_size, cfg.num_classes,
                            cfg.rare_class_frac, seed=cfg.seed)
-    save_dataset(root, images)
-    print(f"wrote {len(images)} images ({cfg.image_size}x{cfg.image_size}, "
-          f"{cfg.num_classes} classes) to {root}")
-    return EXIT_OK
+
+    def step() -> int:
+        save_dataset(root, images)
+        print(f"wrote {len(images)} images ({cfg.image_size}x{cfg.image_size}, "
+              f"{cfg.num_classes} classes) to {root}")
+        return EXIT_OK
+    return step
 
 
-# subcommand -> (help text, handler); every handler takes (cfg, out, json_output)
+# subcommand -> (help text, handler); every handler takes (cfg, out, json_output),
+# checks the config, reads the inputs, and returns the step that does the work
 COMMANDS = {
     "train": ("train a model and write logs plus the best checkpoint", _cmd_train),
     "eval": ("load a checkpoint and report per-class and mean IoU", _cmd_eval),
@@ -404,8 +427,9 @@ def dispatch(subcommand: str, cfg: RunConfig, json_output: bool = False) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     out = Path(cfg.out_dir)
+    step = COMMANDS[subcommand][1](cfg, out, json_output)  # raises before any output exists
     _write_provenance(out, cfg, subcommand)
-    return COMMANDS[subcommand][1](cfg, out, json_output)
+    return step()
 
 
 # ---------------------------------------------------------------------------

@@ -113,12 +113,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return affine(self, 1.0 / other) if _is_scalar(other) else div(self, other)
-
-    def __neg__(self):
-        return affine(self, -1.0)
-
 
 def _is_scalar(x) -> bool:
     return isinstance(x, (int, float, np.integer, np.floating))
@@ -436,39 +430,47 @@ def softmax(logits: Tensor) -> Tensor:
 # gradient checking
 
 
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
+def grad_check(f: Callable[..., Tensor], *xs: Tensor, eps: float = 1e-5) -> float:
     """Max relative error between tape gradients and central differences.
 
-    f must be a deterministic scalar-valued function of one tensor.  The
+    f must be a deterministic scalar-valued function of the tensors xs;
+    one backward gives every argument's gradient, and every element of
+    every argument is bumped while the others hold their values.  The
     check always runs in float64; the relative error for element i is
     |analytic - numeric| / max(1, |analytic|, |numeric|).
     """
+    if not xs:
+        raise ContractError("grad_check: no tensor to check")
     if not (1e-6 <= eps <= 1e-3):
         raise ContractError(f"grad_check: eps {eps} outside [1e-6, 1e-3]")
-    base = np.asarray(x.data, dtype=np.float64)
-    leaf = Tensor(base.copy(), requires_grad=True)
+    bases = [np.asarray(x.data, dtype=np.float64) for x in xs]
+    leaves = [Tensor(base.copy(), requires_grad=True) for base in bases]
     with Tape() as tape:
-        y = f(leaf)
+        y = f(*leaves)
     if y.data.size != 1:
         raise ContractError(f"grad_check: f returned shape {y.shape}, expected scalar")
     if not np.isfinite(y.data).all():
         raise NumericalError("grad_check: f(x) is non-finite")
     backward(tape, y)
-    analytic = (leaf.grad if leaf.grad is not None else np.zeros_like(base)).ravel()
+    analytic = np.concatenate([np.zeros(leaf.size) if leaf.grad is None else leaf.grad.ravel()
+                               for leaf in leaves])
     if not np.isfinite(analytic).all():
         raise NumericalError("grad_check: analytic gradient is non-finite")
 
-    flat = base.ravel()
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] = flat[i] + eps
-        fp = f(Tensor(bumped.reshape(base.shape))).item()
-        bumped[i] = flat[i] - eps
-        fm = f(Tensor(bumped.reshape(base.shape))).item()
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericalError(f"grad_check: non-finite evaluation at element {i}")
-        numeric[i] = (fp - fm) / (2.0 * eps)
+    numeric = []
+    for j, base in enumerate(bases):
+        args = [Tensor(b) for b in bases]
+        args[j] = Tensor(base.copy())  # f sees each bump made through flat
+        flat = args[j].data.reshape(-1)
+        for k, value in enumerate(base.flat):
+            flat[k] = value + eps
+            fp = f(*args).item()
+            flat[k] = value - eps
+            fm = f(*args).item()
+            flat[k] = value
+            if not (np.isfinite(fp) and np.isfinite(fm)):
+                raise NumericalError(f"grad_check: non-finite evaluation at element {k} of xs[{j}]")
+            numeric.append((fp - fm) / (2.0 * eps))
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom))
 

@@ -8,11 +8,11 @@ sums would hide errors that cancel across positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import LfamConfig, ResidualSource, init_lfam_params, lfam_forward
+from .attention import LfamConfig, LfamParams, ResidualSource, init_lfam_params, lfam_forward
 from .ops import ConvParams, conv2d, he_conv, upconv2x2
 from .rng import make_rng
 from .tensor import Tensor, grad_check, masked_softmax, mul, sum_all
@@ -40,7 +40,7 @@ def _weighted_sum(out: Tensor, weight: np.ndarray) -> Tensor:
 
 def _check_masked_softmax(seed: int) -> float:
     rng = make_rng(seed, stream=1)
-    x = Tensor(rng.normal(size=(2, 1, 4, 6)), requires_grad=True)
+    x = Tensor(rng.normal(size=(2, 1, 4, 6)))
     mask = rng.random(size=(2, 1, 4, 6)) < 0.7
     mask[..., 0] = True  # keep every row alive
     w = rng.normal(size=(2, 1, 4, 6))
@@ -50,51 +50,32 @@ def _check_masked_softmax(seed: int) -> float:
 def _check_conv2d(seed: int) -> float:
     rng = make_rng(seed, stream=2)
     p = he_conv(2, 3, 3, rng, dtype=np.float64)
-    x = Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True)
+    x = Tensor(rng.normal(size=(1, 2, 5, 5)))
     w = rng.normal(size=(1, 3, 5, 5))
-    errs = [grad_check(lambda t: _weighted_sum(conv2d(t, p), w), x)]
-    x_const = Tensor(x.data.copy())
-    bias = Tensor(p.bias.data.copy())
-    weight = Tensor(p.weight.data.copy(), requires_grad=True)
-
-    def by_weight(wt):
-        return _weighted_sum(conv2d(x_const, ConvParams(weight=wt, bias=bias)), w)
-
-    def by_bias(b):
-        return _weighted_sum(conv2d(x_const, ConvParams(weight=weight, bias=b)), w)
-
-    errs.append(grad_check(by_weight, weight))
-    errs.append(grad_check(by_bias, Tensor(bias.data.copy(), requires_grad=True)))
-    return max(errs)
+    return grad_check(lambda t, wt, b: _weighted_sum(conv2d(t, ConvParams(wt, b)), w),
+                      x, p.weight, p.bias)
 
 
 def _check_upconv(seed: int) -> float:
     rng = make_rng(seed, stream=3)
     up = he_conv(3, 2, 2, rng, dtype=np.float64)
-    x = Tensor(rng.normal(size=(1, 3, 4, 4)), requires_grad=True)
+    x = Tensor(rng.normal(size=(1, 3, 4, 4)))
     w = rng.normal(size=(1, 2, 8, 8))
-    errs = [grad_check(lambda t: _weighted_sum(upconv2x2(t, up), w), x)]
-    x_const = Tensor(x.data.copy())
-
-    def by_weight(wt):
-        return _weighted_sum(
-            upconv2x2(x_const, ConvParams(weight=wt, bias=up.bias)), w)
-
-    errs.append(grad_check(by_weight, Tensor(up.weight.data.copy(), requires_grad=True)))
-    return max(errs)
+    return grad_check(lambda t, wt: _weighted_sum(upconv2x2(t, ConvParams(wt, up.bias)), w),
+                      x, up.weight)
 
 
 def _check_focal_iou(seed: int) -> float:
     rng = make_rng(seed, stream=4)
     target = rng.integers(0, 3, size=(1, 4, 4))
-    x = Tensor(rng.normal(size=(1, 3, 4, 4)), requires_grad=True)
+    x = Tensor(rng.normal(size=(1, 3, 4, 4)))
     return grad_check(lambda t: focal_iou_loss(t, target, FocalIouLoss(gamma=2.0)), x)
 
 
 def _check_weighted_ce(seed: int) -> float:
     rng = make_rng(seed, stream=5)
     target = rng.integers(0, 3, size=(1, 4, 4))
-    x = Tensor(rng.normal(size=(1, 3, 4, 4)), requires_grad=True)
+    x = Tensor(rng.normal(size=(1, 3, 4, 4)))
     return grad_check(lambda t: weighted_ce(t, target, (0.5, 1.0, 2.0)), x)
 
 
@@ -104,28 +85,17 @@ def _check_lfam(seed: int, residual: ResidualSource, m: int) -> float:
     params = init_lfam_params(3, rng, dtype=np.float64)
     for t in (params.query.bias, params.key.bias, params.value.bias):
         t.data[...] = rng.normal(size=t.shape)  # padded rows then project to nonzero values
-    enc = Tensor(rng.normal(size=(1, 3, 6, 6)), requires_grad=True)
-    dec = Tensor(rng.normal(size=(1, 3, 6, 6)), requires_grad=True)
+    enc = Tensor(rng.normal(size=(1, 3, 6, 6)))
+    dec = Tensor(rng.normal(size=(1, 3, 6, 6)))
     w = rng.normal(size=(1, 3, 6, 6))
-    enc_c, dec_c = Tensor(enc.data.copy()), Tensor(dec.data.copy())
 
-    errs = [
-        grad_check(lambda t: _weighted_sum(lfam_forward(t, dec_c, params, cfg), w), enc),
-        grad_check(lambda t: _weighted_sum(lfam_forward(enc_c, t, params, cfg), w), dec),
-    ]
+    # every projection weight and bias too: m=4 pads the 6x6 maps, so a
+    # padded row leaking into a key or value gradient would show here
+    def f(e, d, qw, qb, kw, kb, vw, vb):
+        proj = LfamParams(ConvParams(qw, qb), ConvParams(kw, kb), ConvParams(vw, vb))
+        return _weighted_sum(lfam_forward(e, d, proj, cfg), w)
 
-    # every projection weight and bias: m=4 pads the 6x6 maps, so a padded
-    # row leaking into a key or value gradient would show here
-    for role in ("query", "key", "value"):
-        for part in ("weight", "bias"):
-            def by_part(t, role=role, part=part):
-                conv = replace(getattr(params, role), **{part: t})
-                return _weighted_sum(lfam_forward(enc_c, dec_c, replace(params, **{role: conv}),
-                                                  cfg), w)
-
-            start = getattr(getattr(params, role), part).data.copy()
-            errs.append(grad_check(by_part, Tensor(start, requires_grad=True)))
-    return max(errs)
+    return grad_check(f, enc, dec, *params.tensors())
 
 
 def _check_end_to_end(seed: int) -> float:
@@ -136,7 +106,7 @@ def _check_end_to_end(seed: int) -> float:
     model = build_unet(cfg, seed=seed, dtype=np.float64)
     rng = make_rng(seed, stream=6)
     target = rng.integers(0, 2, size=(1, 8, 8))
-    x = Tensor(rng.normal(size=(1, 1, 8, 8)), requires_grad=True)
+    x = Tensor(rng.normal(size=(1, 1, 8, 8)))
     return grad_check(lambda t: focal_iou_loss(forward(model, t), target, FocalIouLoss()), x)
 
 

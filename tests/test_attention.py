@@ -906,18 +906,10 @@ class TestGradients:
         params = init_lfam_params(3, rng, dtype=np.float64)
         cfg = LfamConfig(local_range=3)
 
-        def wrt_enc(t):
-            return sum_all(pow_const(lfam_forward(t, Tensor(dec, dtype=np.float64), params, cfg), 2.0))
-
-        def wrt_dec(t):
-            return sum_all(pow_const(lfam_forward(Tensor(enc, dtype=np.float64), t, params, cfg), 2.0))
-
-        def wrt_wq(t):
+        def f(e, d, wq):
             from lfam.ops import ConvParams
-            q = LfamParams(ConvParams(t, params.query.bias), params.key, params.value)
-            return sum_all(pow_const(
-                lfam_forward(Tensor(enc, dtype=np.float64), Tensor(dec, dtype=np.float64), q, cfg), 2.0))
+            q = LfamParams(ConvParams(wq, params.query.bias), params.key, params.value)
+            return sum_all(pow_const(lfam_forward(e, d, q, cfg), 2.0))
 
-        assert grad_check(wrt_enc, Tensor(enc, dtype=np.float64)) < 1e-4
-        assert grad_check(wrt_dec, Tensor(dec, dtype=np.float64)) < 1e-4
-        assert grad_check(wrt_wq, params.query.weight) < 1e-4
+        assert grad_check(f, Tensor(enc, dtype=np.float64), Tensor(dec, dtype=np.float64),
+                          params.query.weight) < 1e-4

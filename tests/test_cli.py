@@ -198,6 +198,19 @@ train.batch_size=4
 """
 
 
+# (subcommand, config, key its message names): errors the subcommand finds,
+# not the parser; the default unet.depth is 2
+SUBCOMMAND_CONFIG_ERRORS = [
+    ("eval", "", "eval.checkpoint"),
+    ("gen-data", "data.num_classes=300\n", "data.num_classes"),
+    ("train", "data.tile=6\n", "data.tile"),
+    ("train", "data.size=18\n", "data.size"),
+    ("train", "data.n_images=1\ndata.val_frac=0.9\n", "data.val_frac"),
+    ("cost", "cost.geometry=model\nunet.skip=concat\n", "unet.skip"),
+    ("cost", "cost.geometry=model\ncost.input_size=30\n", "cost.input_size"),
+]
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -266,6 +279,15 @@ class TestSubcommands:
         assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         line = len(text.splitlines())
         assert f"{cfg}:{line}: {key} must be finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text, key", SUBCOMMAND_CONFIG_ERRORS,
+                             ids=[key for _, _, key in SUBCOMMAND_CONFIG_ERRORS])
+    def test_subcommand_config_error_writes_no_output(self, tmp_path, capsys, command, text, key):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, text)
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
     def test_eval_without_checkpoint_is_config_error(self, tmp_path):

@@ -190,20 +190,10 @@ class TestConv2d:
         x = rng.standard_normal((2, 2, 5, 5))
         p = make_params(rng, 2, 3, 3)
 
-        def wrt_x(t):
-            return sum_all(pow_const(conv2d(t, p), 2.0))
+        def f(t, w, b):
+            return sum_all(pow_const(conv2d(t, ConvParams(w, b)), 2.0))
 
-        def wrt_w(t):
-            q = ConvParams(t, p.bias)
-            return sum_all(pow_const(conv2d(Tensor(x, dtype=np.float64), q), 2.0))
-
-        def wrt_b(t):
-            q = ConvParams(p.weight, t)
-            return sum_all(pow_const(conv2d(Tensor(x, dtype=np.float64), q), 2.0))
-
-        assert grad_check(wrt_x, Tensor(x, dtype=np.float64)) < 1e-4
-        assert grad_check(wrt_w, p.weight) < 1e-4
-        assert grad_check(wrt_b, p.bias) < 1e-4
+        assert grad_check(f, Tensor(x, dtype=np.float64), p.weight, p.bias) < 1e-4
 
     def test_pointwise_conv_over_channel_major_map_copies_no_cols(self):
         # a conv output is channel-major, so its (ic, n, h, w) view already is
@@ -343,20 +333,10 @@ class TestUpconv:
         x = rng.standard_normal((1, 2, 3, 3))
         p = make_params(rng, 2, 3, 2)
 
-        def wrt_x(t):
-            return sum_all(pow_const(upconv2x2(t, p), 2.0))
+        def f(t, w, b):
+            return sum_all(pow_const(upconv2x2(t, ConvParams(w, b)), 2.0))
 
-        def wrt_w(t):
-            q = ConvParams(t, p.bias)
-            return sum_all(pow_const(upconv2x2(Tensor(x, dtype=np.float64), q), 2.0))
-
-        def wrt_b(t):
-            q = ConvParams(p.weight, t)
-            return sum_all(pow_const(upconv2x2(Tensor(x, dtype=np.float64), q), 2.0))
-
-        assert grad_check(wrt_x, Tensor(x, dtype=np.float64)) < 1e-4
-        assert grad_check(wrt_w, p.weight) < 1e-4
-        assert grad_check(wrt_b, p.bias) < 1e-4
+        assert grad_check(f, Tensor(x, dtype=np.float64), p.weight, p.bias) < 1e-4
 
     def test_pool_then_upconv_restores_shape(self):
         rng = make_rng(5)
