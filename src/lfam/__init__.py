@@ -18,6 +18,39 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var
 
+
+def _raise_malloc_thresholds() -> str:
+    """Keep freed conv and attention temporaries in the heap: "raised", or why not.
+
+    A step frees and reallocates buffers of about 1 MiB.  By default glibc
+    serves those with mmap or trims them off the heap top when freed, so
+    each step faults their pages in again.  Raising both thresholds keeps
+    them.  A user's own MALLOC_* or glibc.malloc tunable wins.
+    """
+    try:
+        glibc = bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        glibc = False
+    if not glibc:
+        return "skipped: the C library is not glibc"
+    user = sorted(k for k in os.environ if k.startswith("MALLOC_"))
+    if "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        user.append("GLIBC_TUNABLES")
+    if user:
+        return f"skipped: {', '.join(user)} set by the user"
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # M_MMAP_THRESHOLD to glibc's 64-bit maximum, M_TRIM_THRESHOLD to 1 GiB
+    if not (mallopt(-3, 32 << 20) and mallopt(-1, 1 << 30)):
+        return "skipped: mallopt returned 0"
+    return "raised"
+
+
+# what lfam did to glibc malloc's thresholds at import; run.json records it
+MALLOC_TUNING = _raise_malloc_thresholds()
+
 __version__ = "0.1.0"
 
 from .attention import (
@@ -93,7 +126,7 @@ from .unet import (
 from .verify import gradient_suite, render_suite
 
 __all__ = [
-    "__version__",
+    "__version__", "MALLOC_TUNING",
     "LfamConfig", "LfamParams", "ResidualSource", "global_attention_oracle",
     "init_lfam_params", "lfam_attention", "lfam_forward", "window_partition",
     "windowed_reference",

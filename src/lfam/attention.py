@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, DegenerateWindowError, NumericalError, ScaleGuardError, ShapeError
-from .ops import ConvParams, he_conv
+from .ops import _BLOCK_BYTES, ConvParams, he_conv
 from .ops import conv2d  # not called here: perfbench's tracer wraps lfam.attention.conv2d by name
 from .tensor import (
     Tensor,
@@ -47,14 +47,11 @@ from .tensor import (
 # the global oracle is quadratic in pixel count; refuse anything big
 _ORACLE_PIXEL_LIMIT = 4096
 
-# the window-attention core runs as many windows at once as fit their scores
-# in this many bytes: half of one core's 2 MiB L2, leaving room for the
-# block's q, k, v and gradient rows
-_BLOCK_BYTES = 1 << 20
-
-# per thread, the score buffer of a forward that keeps no P; kept across
-# calls, since freeing it each call lets glibc hand its pages back and
-# fault them in again on the next call
+# per thread, the score buffer of a forward that keeps no P, kept across
+# calls.  It saves page faults only where lfam left malloc's thresholds
+# alone (lfam.MALLOC_TUNING): there, freeing it each call lets glibc hand
+# its pages back and fault them in on the next.  It stays everywhere so
+# that peak_mib, which tracemalloc takes after warm-up, does not count it
 _SCRATCH = threading.local()
 
 

@@ -15,7 +15,9 @@ Exit codes: 0 success, 1 internal error, 2 usage, 3 config error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
+import glob
 import json
 import math
 import os
@@ -25,7 +27,7 @@ from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
-from . import __version__
+from . import MALLOC_TUNING, __version__
 from .attention import LfamConfig, ResidualSource
 from .costmodel import cost_report, network_cost_report, reference_levels, render_cost_table, report_record
 from .data import (PGM_MAX_CLASSES, compute_class_weights, crop_tiles, gen_synthetic, load_dataset,
@@ -286,11 +288,32 @@ def _write_text(path: Path, text: str) -> None:
     replace_atomically(path, lambda p: p.write_text(text))
 
 
+def _blas_in_effect() -> dict:
+    """numpy's BLAS and the thread count it runs (None where it cannot say)."""
+    import numpy as np
+
+    try:
+        dep = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name = f"{dep['name']} {dep.get('version', '')}".strip()
+    except (KeyError, TypeError):
+        name = "unknown"
+    threads = None
+    # numpy's Linux wheels bundle scipy-openblas, which exports its thread
+    # getter; dlopen hands back the copy numpy already loaded
+    for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                      "libscipy_openblas64_*")):
+        get = ctypes.CDLL(lib).scipy_openblas_get_num_threads64_
+        get.argtypes, get.restype = (), ctypes.c_int
+        threads = get()
+    return {"name": name, "threads": threads}
+
+
 def _write_provenance(out: Path, cfg: RunConfig, command: str) -> None:
     out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "config.txt", emit_config(cfg))
     _write_text(out / "run.json", json.dumps(
-        {"command": command, "seed": cfg.seed, "version": _version_string()},
+        {"command": command, "seed": cfg.seed, "version": _version_string(),
+         "malloc": MALLOC_TUNING, "blas": _blas_in_effect()},
         indent=2) + "\n")
 
 

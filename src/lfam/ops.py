@@ -10,15 +10,24 @@ arXiv 1709.03395).  The input is copied once into a zero-padded
 channel-major grid (ic, n, h+2p, w+2p), viewed flat as (ic, L); kernel tap
 (di, dj) is then the column slice at offset di*(w+2p) + dj, which BLAS
 reads in place.  The k*k products w[:, :, di, dj] @ slice sum into one
-(oc, L) map on the padded grid, which is cropped to (n, oc, h, w).  With
-one input channel the k*k products would be rank-1, so the tap slices are
-stacked into a (k*k, L) operand and multiplied once.  A 1x1 conv is one
-product with no padding, and over a channel-major input it copies
-nothing; the conv output keeps that channel-major memory order.  Backward
-pads g once: the weight gradient is k*k products of padded g with the same
-slices of the input grid, and the input gradient is the forward
-correlation run on padded g with the weight flipped in both spatial axes
-and its in/out axes swapped.  The vjp keeps only the padded input grid.
+(oc, L) map on the padded grid, which is cropped to (n, oc, h, w).  The
+sum runs in blocks of output columns, each block taking all k*k taps
+before the next starts, so that its grid slice, its output slice and one
+tap temporary, (ic + 2*oc) * itemsize bytes per column, stay within
+_BLOCK_BYTES, half of one core's 2 MiB L2 (Anderson et al.).  The width
+is rounded down to a multiple of 64 columns, which keeps every BLAS tail
+where the unblocked product had it, so the bits do not depend on the
+blocks; maps that fit, such as every 32x32 training map, run as one
+block, and so does a sum with one output channel, whose taps are gemvs.
+With one input channel the k*k products would be rank-1, so the tap
+slices are stacked into a (k*k, L) operand and multiplied once, unblocked.
+A 1x1 conv is one product with no padding, and over a channel-major input
+it copies nothing; the conv output keeps that channel-major memory order.
+Backward pads g once: the weight gradient is k*k products of padded g with
+the same slices of the input grid, unblocked, and the input gradient is
+the forward correlation, blocked alike, run on padded g with the weight
+flipped in both spatial axes and its in/out axes swapped.  The vjp keeps
+only the padded input grid.
 upconv2x2 is one (n*h*w, ic) @ (ic, oc*4) product, and each of its two
 gradients is one more; it is the exact adjoint of a stride-2 kernel-2
 convolution with the in/out axes of the weight swapped.  maxpool2x2 takes
@@ -43,6 +52,11 @@ from .tensor import (
     sub,
     sum_axes,
 )
+
+# a conv column block, or a block of attention windows' scores, takes at
+# most this many bytes: half of one core's 2 MiB L2, leaving room for the
+# operands that stream past it
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -101,18 +115,34 @@ def _grid(a: np.ndarray, pad: int) -> np.ndarray:
     return grid
 
 
+def _block_columns(ic: int, oc: int, itemsize: int) -> int:
+    """Output columns per _correlate block: a grid slice, an output block and
+    a tap temporary fit _BLOCK_BYTES, in whole multiples of 64 columns."""
+    return max(64, _BLOCK_BYTES // ((ic + 2 * oc) * itemsize) // 64 * 64)
+
+
 def _correlate(wt: np.ndarray, grid: np.ndarray, offsets: list[int], span: int) -> np.ndarray:
     """out[:, b] = sum over taps t of wt[t] @ grid[:, b + offsets[t]], for b < span.
 
     wt is (taps, oc, ic).  With one input channel each tap would be a
     rank-1 product, so the tap slices are stacked and multiplied once.
+    Otherwise the columns run in blocks of _block_columns, each summing its
+    taps into its slice of out through one block-sized temporary.  With one
+    output channel each tap is a BLAS gemv, whose float32 bits depend on
+    its length, so it runs as one block.
     """
-    if grid.shape[0] == 1:
+    _, oc, ic = wt.shape
+    if ic == 1:
         return wt[:, :, 0].T @ np.stack([grid[0, o:o + span] for o in offsets])
-    out, tmp = wt[0] @ grid[:, offsets[0]:offsets[0] + span], None
-    for w_t, o in zip(wt[1:], offsets[1:]):
-        tmp = np.matmul(w_t, grid[:, o:o + span], out=tmp)  # reuses one buffer
-        out += tmp
+    width = span if oc == 1 else min(_block_columns(ic, oc, grid.itemsize), span)
+    out = np.empty((oc, span), grid.dtype)
+    tmp = np.empty((oc, width), grid.dtype)
+    for b in range(0, span, width):
+        e = min(b + width, span)
+        block, t = out[:, b:e], tmp[:, :e - b]
+        np.matmul(wt[0], grid[:, b + offsets[0]:e + offsets[0]], out=block)
+        for w_t, o in zip(wt[1:], offsets[1:]):
+            block += np.matmul(w_t, grid[:, b + o:e + o], out=t)
     return out
 
 

@@ -226,6 +226,8 @@ class TestSubcommands:
         run_meta = json.loads((out / "run.json").read_text())
         assert run_meta["command"] == "train" and run_meta["seed"] == 5
         assert "version" in run_meta
+        assert run_meta["malloc"] == lfam.MALLOC_TUNING
+        assert set(run_meta["blas"]) == {"name", "threads"} and run_meta["blas"]["name"]
         log = (out / "log.csv").read_text().strip().split("\n")
         assert len(log) == 3  # header + 2 epochs
         assert (out / "best.ckpt").exists()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfam import ops
 from lfam.errors import ContractError, ShapeError
 from lfam.ops import (
     ConvParams,
@@ -226,6 +227,49 @@ class TestConv2d:
             tracemalloc.stop()
         assert len(tape.nodes) == 1
         assert held - y.data.nbytes < 2 * x.data.nbytes
+
+
+def conv_and_input_grad(x, p, g):
+    """conv2d's output and input gradient for upstream gradient g."""
+    with Tape() as tape:
+        y = conv2d(Tensor(x, requires_grad=True), p)
+    gx, _, _ = tape.nodes[-1].vjp(g)
+    return y.data, gx
+
+
+class TestBlockedCorrelate:
+    # (n, ic, oc, side): in float32 and float64, _block_columns leaves two or
+    # more blocks, the last one ragged, for the forward sum and the input
+    # gradient's; (2, 16, 16, 64) in float64 is 2688-column blocks, where a
+    # width not a multiple of 64 (2730) moved bits; (2, 1, 16, 128) takes
+    # the stacked forward, and its input gradient has one output channel,
+    # a float32 gemv whose bits moved when it was blocked
+    SHAPES = [(2, 16, 16, 64), (4, 8, 8, 128), (3, 16, 8, 64), (2, 8, 24, 70), (2, 3, 5, 128),
+              (2, 1, 16, 128)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_blocks_keep_the_one_block_bits(self, monkeypatch, dtype, shape):
+        n, ic, oc, side = shape
+        rng = make_rng(sum(shape))
+        x = rng.standard_normal((n, ic, side, side)).astype(dtype)
+        p = make_params(rng, ic, oc, 3, dtype=dtype)
+        g = rng.standard_normal((n, oc, side, side)).astype(dtype)
+        span, itemsize = n * (side + 2) ** 2, np.dtype(dtype).itemsize
+        for a, b in ((ic, oc), (oc, ic)):  # the forward sum, then the input gradient's
+            width = ops._block_columns(a, b, itemsize)
+            assert span > width and span % width
+        blocked = conv_and_input_grad(x, p, g)
+        monkeypatch.setattr(ops, "_BLOCK_BYTES", 1 << 62)  # one block
+        assert ops._block_columns(ic, oc, itemsize) > span
+        for got, want in zip(blocked, conv_and_input_grad(x, p, g)):
+            assert got.tobytes() == want.tobytes()
+
+    @given(st.integers(1, 5000), st.integers(1, 5000), st.sampled_from([4, 8]))
+    def test_block_width_is_a_multiple_of_64(self, ic, oc, itemsize):
+        width = ops._block_columns(ic, oc, itemsize)
+        assert width >= 64 and width % 64 == 0
+        assert width == 64 or width * (ic + 2 * oc) * itemsize <= ops._BLOCK_BYTES
 
 
 class TestMaxpool:

@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from lfam import attention, unet
+from lfam import attention, ops, unet
 from lfam.attention import LfamConfig, ResidualSource, global_attention_oracle, lfam_forward
 from lfam.errors import CheckpointError, ConfigError, ContractError, NumericalError, ShapeError
 from lfam.rng import make_rng
@@ -381,6 +381,24 @@ def taped_step(model, x, target, fn=None):
         loss = focal_iou_loss(logits, target, FocalIouLoss())
     backward(tape, loss)
     return tape, loss, logits, {k: p.grad.copy() for k, p in model.params.items()}
+
+
+def test_every_desk32_conv_sum_runs_as_one_block(monkeypatch):
+    # desk32's serial training step (m=4, 8 x 32x32): each conv's tap sum,
+    # forward and input gradient, fits one _correlate column block
+    seen = []
+    correlate = ops._correlate
+
+    def record(wt, grid, offsets, span):
+        seen.append((wt.shape[2], wt.shape[1], grid.itemsize, span))
+        return correlate(wt, grid, offsets, span)
+
+    monkeypatch.setattr(ops, "_correlate", record)
+    model = build_unet(bench_cfg(m=4), seed=48)
+    taped_step(model, images(8, 32, seed=49), make_rng(50).integers(0, 4, size=(8, 32, 32)))
+    assert len(seen) == 21 and max(span for *_, span in seen) == 8 * 34 * 34
+    for ic, oc, itemsize, span in seen:
+        assert ic == 1 or span <= ops._block_columns(ic, oc, itemsize), (ic, oc, span)
 
 
 def serial_step(model, x, target):
