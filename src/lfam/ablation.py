@@ -8,7 +8,7 @@ never asserted; at desk scale seed noise can dominate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -117,15 +117,7 @@ def render_text(report: AblationReport) -> str:
 
 def to_record(report: AblationReport) -> dict:
     return {
-        "config": {
-            "n_images": report.config.n_images,
-            "image_size": report.config.image_size,
-            "num_classes": report.config.num_classes,
-            "rare_class_frac": report.config.rare_class_frac,
-            "epochs": report.config.epochs,
-            "seeds": list(report.config.seeds),
-            "local_ranges": list(report.config.local_ranges),
-        },
+        "config": asdict(report.config),
         "variants": [
             {"name": v.name, "per_seed": list(v.per_seed),
              "mean": v.mean, "spread": v.spread}

@@ -33,16 +33,15 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateWindowError, NumericalError, ScaleGuardError, ShapeError
 from .ops import _BLOCK_BYTES, ConvParams, he_conv
-from .ops import conv2d  # not called here: perfbench's tracer wraps lfam.attention.conv2d by name
-from .tensor import (
-    Tensor,
-    _active_tape,
-    _apply,
-    bmm,
-    masked_softmax,  # not called here: perfbench's tracer wraps lfam.attention.masked_softmax by name
-    permute,  # not called here: perfbench's tracer wraps lfam.attention.permute by name
-    reshape,  # not called here: perfbench's tracer wraps lfam.attention.reshape by name
-)
+from .tensor import Tensor, _active_tape, _apply
+
+# Tracer-only names: nothing in this module calls conv2d, masked_softmax,
+# permute, reshape, pad_bottom_right or crop_top_left (window_split pads and
+# window_merge crops as they copy).  perfbench's tracer wraps each of them
+# as lfam.attention.<name>, so the four imports here and the two ops
+# defined after window_merge stay.
+from .ops import conv2d
+from .tensor import masked_softmax, permute, reshape
 
 # the global oracle is quadratic in pixel count; refuse anything big
 _ORACLE_PIXEL_LIMIT = 4096
@@ -190,9 +189,7 @@ def window_merge(r: Tensor, grid: WindowGrid, residual: Tensor | None = None) ->
                   lambda g: (_to_rows(g, m, nw, padded),) + (g,) * (len(inputs) - 1))
 
 
-# pad_bottom_right and crop_top_left are not called here either, since
-# window_split pads and window_merge crops as they copy; perfbench's tracer
-# wraps lfam.attention.pad_bottom_right and crop_top_left by name
+# tracer-only (see the imports at the top of this module)
 
 def pad_bottom_right(a: Tensor, grid: WindowGrid) -> Tensor:
     """Zero-pad an (n, c, h, w) map at the bottom and right to whole windows."""
@@ -348,6 +345,16 @@ def _scores_grad(dp: np.ndarray, p: np.ndarray, g: np.ndarray, o: np.ndarray) ->
     dp *= p
 
 
+def bmm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ b into out over a leading batch axis: one of the core's two products per block.
+
+    It exists so that perfbench's tracer can time the core's products by
+    name: the tracer replaces lfam.attention.bmm, and _window_core looks the
+    name up at each call.
+    """
+    return np.matmul(a, b, out=out)
+
+
 def _window_core(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None,
                  scale: float | None, keep_p: bool = True) -> tuple[Tensor, np.ndarray | None]:
     """softmax(q kᵀ * scale) v over (n, N, m*m, d) window rows, as one tape node.
@@ -385,37 +392,37 @@ def _window_core(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None,
             raise DegenerateWindowError("window attention: a window has every key masked")
         keys = mask.reshape(rows, mm, 1).astype(dtype)
     qs = q.data if scale is None else q.data * scale
-    qf = qs.reshape(1, rows, mm, d)
-    kt = k.data.reshape(1, rows, mm, d).swapaxes(-1, -2)
+    qf = qs.reshape(rows, mm, d)
+    kt = k.data.reshape(rows, mm, d).swapaxes(-1, -2)
     vf = v.data.reshape(rows, mm, d)
     out = np.empty(q.shape, dtype=dtype)
     of = out.reshape(rows, mm, d)
     if keep_p:
         p = np.empty((n, nw, mm, mm), dtype=dtype)
-        pf = p.reshape(1, rows, mm, mm)
+        pf = p.reshape(rows, mm, mm)
     else:
         p = None
         nbytes = blk * mm * mm * dtype.itemsize
         # cut to nbytes before the view: a float32 call may leave a length
         # that is no multiple of 8
-        pf = _scratch(nbytes)[:nbytes].view(dtype).reshape(1, -1, mm, mm)
-    v1 = np.empty((1, blk, mm, d + 1), dtype=dtype)  # [v | keys]
-    ev = np.empty((1, blk, mm, d + 1), dtype=dtype)  # [E·v | l]
+        pf = _scratch(nbytes)[:nbytes].view(dtype).reshape(-1, mm, mm)
+    v1 = np.empty((blk, mm, d + 1), dtype=dtype)  # [v | keys]
+    ev = np.empty((blk, mm, d + 1), dtype=dtype)  # [E·v | l]
     bound = 0.5 * math.log(float(np.finfo(dtype).max))  # 44.36 in float32, 354.9 in float64
     for lo in range(0, rows, per):
         hi = min(lo + per, rows)
         b = hi - lo
-        e = pf[:, lo:hi] if keep_p else pf[:, :b]
-        bmm(Tensor(qf[:, lo:hi]), Tensor(kt[:, lo:hi]), out=e)
-        _exp_scores(e[0], None if mask is None else mask[lo:hi], keep_p, bound)
-        np.multiply(vf[lo:hi], keys[lo:hi], out=v1[0, :b, :, :d])
-        v1[0, :b, :, d:] = keys[lo:hi]
-        bmm(Tensor(e), Tensor(v1[:, :b]), out=ev[:, :b])
+        e = pf[lo:hi] if keep_p else pf[:b]
+        bmm(qf[lo:hi], kt[lo:hi], e)
+        _exp_scores(e, None if mask is None else mask[lo:hi], keep_p, bound)
+        np.multiply(vf[lo:hi], keys[lo:hi], out=v1[:b, :, :d])
+        v1[:b, :, d:] = keys[lo:hi]
+        bmm(e, v1[:b], ev[:b])
         # every row sum is at least e^-bound (see _exp_scores), so l > 0
-        l = ev[0, :b, :, d:]
-        np.divide(ev[0, :b, :, :d], l, out=of[lo:hi])
+        l = ev[:b, :, d:]
+        np.divide(ev[:b, :, :d], l, out=of[lo:hi])
         if keep_p:
-            e[0] /= l
+            e /= l
     if not keep_p:  # no tape records the node, so nothing reads P
         return Tensor(out), None
 

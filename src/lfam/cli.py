@@ -33,7 +33,7 @@ from .costmodel import cost_report, network_cost_report, reference_levels, rende
 from .data import (PGM_MAX_CLASSES, compute_class_weights, crop_tiles, gen_synthetic, load_dataset,
                    replace_atomically, save_dataset)
 from .errors import ConfigError, LfamError, NumericalError
-from .rng import make_rng
+from .rng import SEED_LIMIT, make_rng
 from .train import FocalIouLoss, TrainConfig, WeightedCeLoss, evaluate, nan_to_none, train_loop
 from .unet import SkipSpec, UNetConfig, build_unet, load_checkpoint
 from .verify import gradient_suite, render_suite
@@ -73,7 +73,7 @@ def _key(key: str, default, valid: str = "", check=None, allowed: tuple = ()):
 class RunConfig:
     """Every tunable of the artifact, with its config key and documented default."""
 
-    seed: int = _key("run.seed", 0, ">= 0", lambda v: v >= 0)
+    seed: int = _key("run.seed", 0, "in [0, 2**63)", lambda v: 0 <= v < SEED_LIMIT)
     out_dir: str = _key("run.out_dir", "runs/latest", _REPARSEABLE, _reparseable)
 
     data_root: str = _key("data.root", "", _REPARSEABLE, _reparseable)

@@ -349,31 +349,6 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# matrix products
-
-
-def bmm(a: Tensor, b: Tensor, *, out: np.ndarray | None = None) -> Tensor:
-    """Batched matrix product contracting the last two axes.
-
-    Shapes (B, G, r, k) @ (B, G, k, c) -> (B, G, r, c); leading axes must
-    match exactly.  out, a (B, G, r, c) array, receives the product in
-    place of a fresh buffer.
-    """
-    if a.shape[:2] != b.shape[:2]:
-        raise ShapeError(f"bmm: leading dims differ, {a.shape} vs {b.shape}")
-    if a.shape[3] != b.shape[2]:
-        raise ShapeError(f"bmm: inner dims differ, {a.shape} vs {b.shape}")
-    out = np.matmul(a.data, b.data, out=out)
-
-    def vjp(g):
-        ga = g @ b.data.swapaxes(-1, -2)
-        gb = a.data.swapaxes(-1, -2) @ g
-        return (ga, gb)
-
-    return _apply("bmm", (a, b), out, vjp)
-
-
-# ---------------------------------------------------------------------------
 # softmax
 
 

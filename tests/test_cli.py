@@ -208,6 +208,8 @@ SUBCOMMAND_CONFIG_ERRORS = [
     ("train", "data.n_images=1\ndata.val_frac=0.9\n", "data.val_frac"),
     ("cost", "cost.geometry=model\nunet.skip=concat\n", "unet.skip"),
     ("cost", "cost.geometry=model\ncost.input_size=30\n", "cost.input_size"),
+    # a seed past Philox's 64-bit key word
+    *((command, f"run.seed={2**64}\n", "run.seed") for command in ("train", "gen-data", "gradcheck")),
 ]
 
 

@@ -2,6 +2,7 @@
 and PGM round trips."""
 
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,23 @@ from lfam.data import (
     write_pgm,
 )
 from lfam.errors import ConfigError, ContractError, PgmError, ShapeError
+from lfam.rng import make_rng
 from lfam.tensor import Tensor
+
+
+class TestMakeRng:
+    @pytest.mark.parametrize("seed, stream", [(-1, 0), (2**63, 0), (0, -1), (0, 2**63)])
+    def test_seed_or_stream_outside_the_key_range_is_config_error(self, seed, stream):
+        name = "seed" if seed != 0 else "stream"
+        with pytest.raises(ConfigError, match=f"^make_rng: {name} "):
+            make_rng(seed, stream)
+
+    def test_largest_seed_and_stream_are_taken(self):
+        # numpy warns on key values in the last few below 2**64; 2**63 - 1 is clear of them
+        top = 2**63 - 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0 <= make_rng(top, top).random() < 1
 
 
 class TestGenSynthetic:

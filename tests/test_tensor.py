@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfam.errors import ContractError, DegenerateWindowError, NumericalError, ShapeError
@@ -16,7 +16,6 @@ from lfam.tensor import (
     add,
     affine,
     backward,
-    bmm,
     concat_channels,
     div,
     grad_check,
@@ -34,19 +33,6 @@ from lfam.tensor import (
     tensor_from_bytes,
     tensor_to_bytes,
 )
-
-
-def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Triple-loop matrix product, independent of the library path."""
-    r, k = a.shape
-    k2, c = b.shape
-    assert k == k2
-    out = np.zeros((r, c), dtype=np.float64)
-    for i in range(r):
-        for j in range(c):
-            for t in range(k):
-                out[i, j] += a[i, t] * b[t, j]
-    return out
 
 
 def softmax_oracle(x: np.ndarray, mask) -> np.ndarray:
@@ -133,53 +119,6 @@ class TestAffine:
         assert [node.op for node in tape.nodes] == ["sum_axes"]
         assert total.shape == (1, 1, 1, 1)
         np.testing.assert_array_equal(total.data.reshape(()), x.sum(dtype=x.dtype))
-
-
-class TestMatmul:
-    def test_identity(self):
-        eye = Tensor(np.eye(2))
-        b = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(bmm(eye, b).data[0, 0], b.data[0, 0])
-
-    def test_frozen_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        got = bmm(Tensor(a), Tensor(b)).data[0, 0]
-        np.testing.assert_array_equal(got, [[19.0, 22.0], [43.0, 50.0]])
-        np.testing.assert_allclose(got, matmul_oracle(a, b))
-
-    @given(st.integers(0, 2**32 - 1))
-    @example(seed=305)  # an element of -8.3e-06 after cancellation
-    @settings(max_examples=20, deadline=None)
-    def test_matches_triple_loop(self, seed):
-        rng = make_rng(seed)
-        r, k, c = rng.integers(1, 6, size=3)
-        a = rng.standard_normal((r, k))
-        b = rng.standard_normal((k, c))
-        got = bmm(Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64)).data[0, 0]
-        # each side is a k-term dot product within about k*eps/2 * (|a| @ |b|)
-        # of the exact value, however much the sum cancels; allow twice their sum
-        bound = 2 * k * np.finfo(np.float64).eps * (np.abs(a) @ np.abs(b))
-        assert (np.abs(got - matmul_oracle(a, b)) <= bound).all()
-
-    def test_inner_dim_mismatch_names_both_shapes(self):
-        a = Tensor(np.zeros((1, 1, 2, 3)))
-        b = Tensor(np.zeros((1, 1, 4, 2)))
-        with pytest.raises(ShapeError, match=r"\(1, 1, 2, 3\).*\(1, 1, 4, 2\)"):
-            bmm(a, b)
-
-    def test_bmm_matches_per_slice_products(self):
-        rng = make_rng(7)
-        a = rng.standard_normal((2, 3, 4, 5))
-        b = rng.standard_normal((2, 3, 5, 2))
-        got = bmm(Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64)).data
-        for i in range(2):
-            for j in range(3):
-                np.testing.assert_allclose(got[i, j], matmul_oracle(a[i, j], b[i, j]), rtol=1e-12)
-
-    def test_bmm_leading_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            bmm(Tensor(np.zeros((2, 1, 3, 3))), Tensor(np.zeros((3, 1, 3, 3))))
 
 
 class TestSoftmax:
@@ -488,16 +427,6 @@ class TestGradCheck:
             return sum_all(pow_const(concat_channels(x, b), 2.0))
 
         assert grad_check(f, Tensor(a, dtype=np.float64)) < 1e-4
-
-    def test_bmm_gradient_both_sides(self):
-        rng = make_rng(9)
-        a = rng.standard_normal((2, 2, 3, 4))
-        b = rng.standard_normal((2, 2, 4, 3))
-
-        def f(x, y):
-            return sum_all(pow_const(bmm(x, y), 2.0))
-
-        assert grad_check(f, Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64)) < 1e-4
 
     def test_vjp_wrong_only_for_second_argument_is_caught(self):
         rng = make_rng(23)

@@ -1,5 +1,7 @@
 """Gradient-suite plumbing and the ablation harness at toy scale."""
 
+import json
+
 import numpy as np
 
 from lfam.ablation import AblationConfig, AblationReport, VariantResult, render_text, run_ablation, to_record
@@ -47,6 +49,14 @@ class TestAblationReport:
         assert up.encoder_best_observed
         assert not down.encoder_best_observed
 
+    def test_record_holds_the_whole_config(self):
+        cfg = AblationConfig(n_images=12, base_channels=4, depth=3, batch_size=2, lr_base=5e-4,
+                             seeds=(4, 5), data_seed=7, local_ranges=(2,))
+        report = AblationReport(config=cfg, variants=(VariantResult("concat", (0.5, 0.6)),))
+        record = json.loads(json.dumps(to_record(report)))
+        rebuilt = {k: tuple(v) if isinstance(v, list) else v for k, v in record["config"].items()}
+        assert AblationConfig(**rebuilt) == cfg
+
     def test_toy_run_is_well_formed(self):
         cfg = AblationConfig(n_images=10, image_size=16, num_classes=3,
                              rare_class_frac=0.04, base_channels=2, depth=1,
@@ -67,5 +77,4 @@ class TestAblationReport:
         record = to_record(report)
         assert isinstance(record["encoder_best_observed"], bool)
         assert [v["name"] for v in record["variants"]] == names
-        import json
         json.dumps(record)
