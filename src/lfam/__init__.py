@@ -97,7 +97,7 @@ from .errors import (
 )
 from .ops import ConvParams, channel_norm, conv2d, he_conv, maxpool2x2, upconv2x2
 from .rng import make_rng
-from .tensor import Tape, Tensor, backward, grad_check, masked_softmax, softmax
+from .tensor import Tape, Tensor, backward, grad_check, masked_softmax
 from .train import (
     FocalIouLoss,
     IouAccumulator,
@@ -139,7 +139,7 @@ __all__ = [
     "PgmError", "ScaleGuardError", "ShapeError",
     "ConvParams", "channel_norm", "conv2d", "he_conv", "maxpool2x2", "upconv2x2",
     "make_rng",
-    "Tape", "Tensor", "backward", "grad_check", "masked_softmax", "softmax",
+    "Tape", "Tensor", "backward", "grad_check", "masked_softmax",
     "FocalIouLoss", "IouAccumulator", "ScheduleState", "TrainConfig",
     "WeightedCeLoss", "cosine_lr", "evaluate", "focal_iou_loss", "mean_iou",
     "optimizer_step", "predict_labels", "train_loop", "weighted_ce",

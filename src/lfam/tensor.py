@@ -261,13 +261,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                              _unbroadcast(g * a.data, b.shape)))
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_shapes(a, b, "div")
-    return _apply("div", (a, b), a.data / b.data,
-                  lambda g: (_unbroadcast(g / b.data, a.shape),
-                             _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
-
-
 def affine(a: Tensor, scale: float, shift: float = 0.0) -> Tensor:
     """a * scale + shift for constants, which become Python floats.
 
@@ -294,12 +287,6 @@ def pow_const(a: Tensor, p: float) -> Tensor:
             return (np.where(g == 0, g, g * p * a.data ** (p - 1)),)
 
     return _apply("pow_const", (a,), out, vjp)
-
-
-def log(a: Tensor) -> Tensor:
-    if a.data.min() <= 0:
-        raise NumericalError(f"log of non-positive value {a.data.min()}")
-    return _apply("log", (a,), np.log(a.data), lambda g: (g / a.data,))
 
 
 def relu(a: Tensor, *, overwrite: bool = False) -> Tensor:
@@ -352,38 +339,6 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 # softmax
 
 
-def _softmax(a: Tensor, axis: int, mask: np.ndarray | None, op: str) -> Tensor:
-    x = a.data
-    # NaN and -inf show in the min, +inf in the max: no full-size bool scan
-    row_max = x.max(axis=axis, keepdims=True) if mask is None else None
-    hi = x.max() if row_max is None else row_max.max()
-    if not (np.isfinite(x.min()) and np.isfinite(hi)):
-        raise NumericalError(f"{op}: logits contain non-finite values")
-    if mask is None:
-        p = x - row_max
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        mask = mask.reshape((1,) * (x.ndim - mask.ndim) + mask.shape)
-        np.broadcast_to(mask, x.shape)  # raises unless mask broadcasts to the logits
-        if not mask.any(axis=axis).all():
-            raise DegenerateWindowError(f"{op}: a row has every position masked")
-        p = x.copy()
-        np.copyto(p, -np.inf, where=~mask)
-        p -= p.max(axis=axis, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=axis, keepdims=True)
-    return _apply(op, (a,), p, lambda g: (_softmax_grad(g, p, axis),))
-
-
-def _softmax_grad(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
-    """Logits' gradient of a softmax p over axis."""
-    subs = "abcd"
-    row_dot = f"{subs},{subs}->{subs.replace(subs[axis], '')}"
-    gx = g - np.expand_dims(np.einsum(row_dot, g, p), axis)
-    gx *= p
-    return gx
-
-
 def masked_softmax(logits: Tensor, mask: np.ndarray | None) -> Tensor:
     """Softmax over the last axis; masked positions output exactly 0.
 
@@ -393,12 +348,32 @@ def masked_softmax(logits: Tensor, mask: np.ndarray | None) -> Tensor:
     and they add nothing to the row sum.  Unmasked outputs sum to 1 per
     row; a fully masked row is a degenerate window and raises.
     """
-    return _softmax(logits, 3, mask, "masked_softmax")
+    x = logits.data
+    # NaN and -inf show in the min, +inf in the max: no full-size bool scan
+    row_max = x.max(axis=3, keepdims=True) if mask is None else None
+    hi = x.max() if row_max is None else row_max.max()
+    if not (np.isfinite(x.min()) and np.isfinite(hi)):
+        raise NumericalError("masked_softmax: logits contain non-finite values")
+    if mask is None:
+        p = x - row_max
+    else:
+        mask = np.asarray(mask, dtype=bool)
+        mask = mask.reshape((1,) * (x.ndim - mask.ndim) + mask.shape)
+        np.broadcast_to(mask, x.shape)  # raises unless mask broadcasts to the logits
+        if not mask.any(axis=3).all():
+            raise DegenerateWindowError("masked_softmax: a row has every position masked")
+        p = x.copy()
+        np.copyto(p, -np.inf, where=~mask)
+        p -= p.max(axis=3, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=3, keepdims=True)
 
+    def vjp(g):
+        gx = g - np.einsum("abcd,abcd->abc", g, p)[..., None]
+        gx *= p
+        return (gx,)
 
-def softmax(logits: Tensor) -> Tensor:
-    """Unmasked softmax over the channel axis (class probabilities)."""
-    return _softmax(logits, 1, None, "softmax")
+    return _apply("masked_softmax", (logits,), p, vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Losses, optimizers, learning-rate schedule, IoU metrics, training loop.
 
-Both losses are compositions of tape primitives, so they are differentiable
-end to end and pass the same gradient checks as the layers.  The soft IoU
-term uses probability-weighted intersection and union; classes absent from
-the target are excluded from its mean (their 0/0 ratio carries no signal).
+Both losses are one kernel, recorded as one tape node with a hand-written
+vjp that passes the same gradient checks as the layers.  It works in log
+space, from log-sum-exp of the logits, so a float32 probability that
+underflows to 0 never reaches a log.  The soft IoU term uses
+probability-weighted intersection and union; classes absent from the
+target are excluded from its mean (their 0/0 ratio carries no signal).
 
 The loop is deterministic per seed: shuffling comes from a counter-based
 generator, every numeric step is plain numpy, and log lines format floats
@@ -21,19 +23,7 @@ import numpy as np
 from .data import replace_atomically
 from .errors import ConfigError, ContractError, LabelError, NumericalError, ShapeError
 from .rng import make_rng
-from .tensor import (
-    Tape,
-    Tensor,
-    affine,
-    backward,
-    div,
-    log,
-    mul,
-    pow_const,
-    softmax,
-    sum_all,
-    sum_axes,
-)
+from .tensor import Tape, Tensor, _apply, backward
 from .unet import ModelState, forward, save_checkpoint
 
 
@@ -86,38 +76,68 @@ def _check_target(logits: Tensor, target: np.ndarray) -> np.ndarray:
     return target
 
 
-def _one_hot(target: np.ndarray, k: int, dtype) -> np.ndarray:
-    n, h, w = target.shape
-    out = np.zeros((n, k, h, w), dtype=dtype)
-    np.put_along_axis(out, target[:, None], 1.0, axis=1)
-    return out
+def _log_space_loss(logits: Tensor, target: np.ndarray, weights, scale: float, gamma: float,
+                    iou_weight: float = 0.0, iou_axes: tuple[int, ...] = ()) -> Tensor:
+    """scale * sum(w (1-p_t)^gamma (-ln p_t)) + iou_weight * mean(1 - softIoU), one node.
+
+    Reads the logits once as a C-order (k, n, h, w) array (a view of the
+    head conv's channel-major output, a copy of any other layout), so the
+    loss and its gradient have the same bits for every layout.  ln p comes
+    from log-sum-exp and 1 - p_t from -expm1(ln p_t): no probability that
+    underflowed to 0 reaches a log.  weights is a scalar or an (n, h, w)
+    map; iou_axes index the (k, n, h, w) layout; a zero iou_weight skips
+    the IoU term.
+    """
+    z = np.ascontiguousarray(logits.data.transpose(1, 0, 2, 3))
+    top = z.max(axis=0)
+    # NaN and -inf show in the min, +inf in the max
+    if not (np.isfinite(z.min()) and np.isfinite(top.max())):
+        raise NumericalError("loss: logits contain non-finite values")
+    lp = z - top
+    lp -= np.log(np.exp(lp).sum(axis=0))
+    p = np.exp(lp)
+    onehot = target == np.arange(z.shape[0]).reshape(-1, 1, 1, 1)
+    lp_t = (lp * onehot).sum(axis=0)
+    q = -np.expm1(lp_t)  # 1 - p_t
+    wq = weights * q ** gamma
+    # the minus sign of -ln p_t rides on the constant factor
+    value = (wq * lp_t).sum() * -scale
+    # d/du of -u (1 - e^u)^gamma is -q^gamma (1 - gamma p_t u / q).  Where q
+    # is 0, u is 0 too and gamma * q^gamma is 0, so any finite u / q will do
+    u_over_q = lp_t / np.where(q > 0, q, 1.0)
+    d_lpt = wq * (1.0 - gamma * np.exp(lp_t) * u_over_q) * -scale
+
+    d_inter = d_psum = None
+    if iou_weight:
+        count = onehot.sum(axis=iou_axes, keepdims=True, dtype=z.dtype)
+        n_present = float((count > 0).sum())
+        inter = (p * onehot).sum(axis=iou_axes, keepdims=True)
+        # sum(p + onehot - p*onehot); an absent class has inter exactly 0 and a
+        # count bumped to 1, so its ratio is exactly 0 and drops out of the sum
+        union = p.sum(axis=iou_axes, keepdims=True) - inter + np.maximum(count, 1.0)
+        a = -iou_weight / n_present
+        value = value + ((inter / union).sum() * a + iou_weight)
+        d_inter = a * (union + inter) / (union * union)
+        d_psum = -a * inter / (union * union)
+
+    def vjp(g):
+        g = g.reshape(())
+        # ln p_t = z_t - logsumexp(z) reaches every class
+        gz = (onehot - p) * (d_lpt * g)
+        if d_inter is not None:  # and p = softmax(z), through intersection and union
+            gp = (onehot * d_inter + d_psum) * g
+            gz += p * (gp - (p * gp).sum(axis=0))
+        return (gz.transpose(1, 0, 2, 3),)
+
+    return _apply("loss", (logits,), np.asarray(value, dtype=z.dtype).reshape(1, 1, 1, 1), vjp)
 
 
 def focal_iou_loss(logits: Tensor, target: np.ndarray, cfg: FocalIouLoss) -> Tensor:
     """focal_weight * mean(-alpha (1-p_t)^gamma ln p_t) + iou_weight * mean(1 - softIoU)."""
     target = _check_target(logits, target)
-    n, k, h, w = logits.shape
-    onehot = _one_hot(target, k, logits.dtype)
-    p = softmax(logits)
-    overlap = mul(p, Tensor(onehot))
-    pt = sum_axes(overlap, (1,))
-
-    # the minus sign of -ln p_t and the term weight ride on the constant factor
-    focal = sum_all(mul(pow_const(1.0 - pt, cfg.gamma), log(pt)))
-    focal = focal * (-cfg.alpha * cfg.focal_weight / (n * h * w))
-
-    axes = (2, 3) if cfg.per_image else (0, 2, 3)
-    count = onehot.sum(axis=axes, keepdims=True)
-    # present: classes with at least one target pixel (per image when split)
-    n_present = float((count > 0).sum())
-    inter = sum_axes(overlap, axes)
-    # sum(p + onehot - p*onehot); an absent class has inter exactly 0 and a
-    # count bumped to 1, so its ratio is exactly 0 and drops out of the sum
-    union = sum_axes(p, axes) - inter + Tensor(np.maximum(count, 1.0))
-    # iou_weight * mean of 1 - iou over the present classes
-    iou_loss = affine(sum_all(div(inter, union)), -cfg.iou_weight / n_present, cfg.iou_weight)
-
-    return focal + iou_loss
+    n, _, h, w = logits.shape
+    return _log_space_loss(logits, target, 1.0, cfg.alpha * cfg.focal_weight / (n * h * w),
+                           cfg.gamma, cfg.iou_weight, (2, 3) if cfg.per_image else (1, 2, 3))
 
 
 def weighted_ce(logits: Tensor, target: np.ndarray, class_weights) -> Tensor:
@@ -128,12 +148,8 @@ def weighted_ce(logits: Tensor, target: np.ndarray, class_weights) -> Tensor:
     if weights.shape != (k,):
         raise ConfigError(f"need {k} class weights, got shape {weights.shape}")
     WeightedCeLoss(tuple(weights.tolist()))  # checks each weight
-    onehot = Tensor(_one_hot(target, k, logits.dtype))
-    p = softmax(logits)
-    pt = sum_axes(mul(p, onehot), (1,))
-    wmap = weights[target][:, None]  # (n, 1, h, w)
-    loss = sum_all(mul(Tensor(wmap), log(pt)))
-    return loss * (-1.0 / float(wmap.sum()))
+    wmap = weights[target]
+    return _log_space_loss(logits, target, wmap, 1.0 / float(wmap.sum()), 0.0)
 
 
 def compute_loss(logits: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
@@ -392,16 +408,19 @@ def train_loop(model: ModelState, data, cfg: TrainConfig, out_dir=None) -> RunLo
             x, t = _stack_batch(batch)
             model.zero_grads()
             where = f"at epoch {epoch} batch {b_start // cfg.batch_size} (lr {lr!r})"
+            # a step that diverges stops at its first overflow or NaN, named
+            # here, not with non-finite gradients written into the model
             try:
-                with Tape() as tape:
-                    logits = forward(model, x)
-                    loss = compute_loss(logits, t, cfg.loss)
-            except NumericalError as exc:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    with Tape() as tape:
+                        logits = forward(model, x)
+                        loss = compute_loss(logits, t, cfg.loss)
+                    loss_value = loss.item()
+                    if not np.isfinite(loss_value):
+                        raise NumericalError(f"non-finite loss {loss_value}")
+                    backward(tape, loss)
+            except (NumericalError, FloatingPointError) as exc:
                 raise NumericalError(f"{exc} {where}") from exc
-            loss_value = loss.item()
-            if not np.isfinite(loss_value):
-                raise NumericalError(f"non-finite loss {loss_value} {where}")
-            backward(tape, loss)
             optimizer_step(opt, model.params,
                            {name: p.grad for name, p in model.params.items()}, lr)
             seen += len(batch)

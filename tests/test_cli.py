@@ -242,6 +242,16 @@ class TestSubcommands:
             assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert (outs[0] / "log.csv").read_bytes() == (outs[1] / "log.csv").read_bytes()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_adam_at_a_high_constant_rate_trains_through_float32_underflow(self, tmp_path):
+        # at epoch 0 batch 1 a target pixel's float32 probability underflows
+        # to 0; a loss that took its log stopped the run there with exit 5
+        cfg = write_cfg(tmp_path, "data.size=32\ndata.n_images=16\nlfam.local_range=4\n"
+                                  "train.epochs=3\ntrain.lr_base=0.05\ntrain.schedule=constant\n")
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert len((out / "log.csv").read_text().splitlines()) == 4  # header + 3 epochs
+
     def test_eval_reports_iou_from_checkpoint(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, SMALL_TRAIN)
         out = tmp_path / "out"

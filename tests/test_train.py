@@ -217,11 +217,13 @@ class TestTargetValidation:
 
 
 class TestLossGradients:
-    def test_focal_iou_gradient(self):
+    @pytest.mark.parametrize("per_image", [False, True])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+    def test_focal_iou_gradient(self, gamma, per_image):
         rng = np.random.default_rng(11)
-        target = rng.integers(0, 3, size=(1, 4, 4))
-        cfg = FocalIouLoss(gamma=2.0)
-        x = Tensor(rng.normal(size=(1, 3, 4, 4)), requires_grad=True)
+        target = rng.integers(0, 3, size=(2, 4, 4))
+        cfg = FocalIouLoss(gamma=gamma, per_image=per_image)
+        x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
         err = grad_check(lambda t: focal_iou_loss(t, target, cfg), x)
         assert err < 1e-4
 
@@ -233,11 +235,12 @@ class TestLossGradients:
         err = grad_check(lambda t: focal_iou_loss(t, target, cfg), x)
         assert err < 1e-4
 
-    def test_weighted_ce_gradient(self):
+    @pytest.mark.parametrize("weights", [(0.5, 1.0, 2.5), (4.0, 0.25, 1.0)])
+    def test_weighted_ce_gradient(self, weights):
         rng = np.random.default_rng(13)
         target = rng.integers(0, 3, size=(1, 4, 4))
         x = Tensor(rng.normal(size=(1, 3, 4, 4)), requires_grad=True)
-        err = grad_check(lambda t: weighted_ce(t, target, (0.5, 1.0, 2.5)), x)
+        err = grad_check(lambda t: weighted_ce(t, target, weights), x)
         assert err < 1e-4
 
     def test_gamma_below_one_on_a_saturated_pixel_has_finite_gradient(self):
@@ -264,17 +267,20 @@ def test_desk_step_records_at_most_eighty_nodes():
     assert len(tape.nodes) <= 80
 
 
-def test_focal_iou_loss_records_seventeen_nodes():
-    # softmax, p*onehot, p_t, 1 - p_t, pow, log, mul, sum, scale; sum p, inter,
-    # sub, add, div, sum, affine; focal + iou
+LOSSES = [lambda t, target: focal_iou_loss(t, target, FocalIouLoss()),
+          lambda t, target: weighted_ce(t, target, np.arange(1.0, t.shape[1] + 1))]
+
+
+@pytest.mark.parametrize("loss_fn", LOSSES, ids=["focal_iou", "weighted_ce"])
+def test_each_loss_records_one_node(loss_fn):
     rng = np.random.default_rng(15)
     logits = Tensor(rng.normal(size=(2, 4, 8, 8)), requires_grad=True)
     with Tape() as tape:
-        focal_iou_loss(logits, rng.integers(0, 3, size=(2, 8, 8)), FocalIouLoss())
-    assert len(tape.nodes) == 17
+        loss_fn(logits, rng.integers(0, 3, size=(2, 8, 8)))
+    assert len(tape.nodes) == 1
 
 
-def test_desk_step_records_fifty_six_nodes():
+def test_desk_step_records_forty_nodes():
     # the criterion-7 step: batch 8, 32x32, base 8, depth 2, m=4, encoder residual
     lf = LfamConfig(local_range=4, residual_source=ResidualSource.ENCODER)
     model = build_unet(UNetConfig(num_classes=4, base_channels=8, depth=2,
@@ -285,9 +291,53 @@ def test_desk_step_records_fifty_six_nodes():
         logits = forward(model, x)
         forward_nodes = len(tape.nodes)
         focal_iou_loss(logits, rng.integers(0, 4, size=(8, 32, 32)), FocalIouLoss())
-    assert (forward_nodes, len(tape.nodes)) == (39, 56)
+    assert (forward_nodes, len(tape.nodes)) == (39, 40)
     # the window ops hand the core its rows, and take them back, with no view between
     assert "reshape" not in {node.op for node in tape.nodes}
+
+
+class TestLogSpace:
+    """The loss works from log-probabilities, on one class-major layout."""
+
+    @pytest.mark.parametrize("loss_fn,want", zip(LOSSES, [201.0, 200.0]),
+                             ids=["focal_iou", "weighted_ce"])
+    def test_underflowed_float32_probability_gives_a_finite_loss(self, loss_fn, want):
+        # p_t = exp(-200) is 0 in float32; ln p_t is still -200.  The focal
+        # term is 200, and the IoU term 1, since the target class has no mass
+        x = Tensor(np.array([200.0, 0.0], dtype=np.float32).reshape(1, 2, 1, 1),
+                   requires_grad=True)
+        with Tape() as tape:
+            loss = loss_fn(x, np.ones((1, 1, 1), dtype=np.int64))
+        backward(tape, loss)
+        assert loss.dtype == np.float32
+        np.testing.assert_allclose(loss.item(), want, rtol=1e-6)
+        assert np.isfinite(x.grad).all()
+
+    @pytest.mark.parametrize("loss_fn", LOSSES, ids=["focal_iou", "weighted_ce"])
+    def test_c_order_and_channel_major_logits_give_the_same_bits(self, loss_fn):
+        # the focal-IoU loss summed p over (n, h, w) in the logits' own memory
+        # order: these logits moved its value by 1 ulp between the layouts
+        rng = np.random.default_rng(20)
+        z = rng.standard_normal((4, 4, 64, 64)).astype(np.float32)  # (k, n, h, w)
+        target = rng.integers(0, 4, size=(4, 64, 64))
+        results = []
+        for data in (np.ascontiguousarray(z.transpose(1, 0, 2, 3)), z.transpose(1, 0, 2, 3)):
+            x = Tensor(data, requires_grad=True)
+            with Tape() as tape:
+                loss = loss_fn(x, target)
+            backward(tape, loss)
+            results.append((loss.data, x.grad))
+        (loss_c, grad_c), (loss_k, grad_k) = results
+        np.testing.assert_array_equal(loss_c.view(np.uint32), loss_k.view(np.uint32))
+        np.testing.assert_array_equal(grad_c.view(np.uint32), grad_k.view(np.uint32))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("loss_fn", LOSSES, ids=["focal_iou", "weighted_ce"])
+    def test_non_finite_logits_raise(self, loss_fn, bad):
+        x = np.zeros((2, 4, 3, 3), dtype=np.float32)
+        x[1, 3, 2, 0] = bad
+        with pytest.raises(NumericalError, match="logits contain non-finite values"):
+            loss_fn(Tensor(x), np.zeros((2, 3, 3), dtype=np.int64))
 
 
 class TestSchedule:

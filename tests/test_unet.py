@@ -432,7 +432,7 @@ class TestShardedStep:
         _, loss0, logits0, want = serial_step(model, x, target)
         tape, loss, logits, got = taped_step(model, x, target)
         assert len(helper.futures) == 2  # the forward's second shard, then its backward's
-        assert len(tape.nodes) == 1 + 17  # unet_shards, then the focal-IoU loss
+        assert len(tape.nodes) == 1 + 1  # unet_shards, then the focal-IoU loss
         assert tape.nodes[0].op == "unet_shards" and logits.dtype == dtype
         np.testing.assert_array_equal(loss.data, loss0.data)
         np.testing.assert_array_equal(logits.data, logits0.data)
@@ -500,7 +500,7 @@ class TestShardedStep:
     def test_substituted_fusion_records_the_serial_step(self, no_helper):
         model, x, target = wide16_batch(4, 74)
         tape, _, _, _ = taped_step(model, x, target, lambda t: forward(model, t, lfam_forward))
-        assert len(tape.nodes) == 56
+        assert len(tape.nodes) == 40  # 39 forward, 1 loss
 
     def test_each_shard_sub_tape_records_the_serial_forward(self, helper, monkeypatch):
         made = []
