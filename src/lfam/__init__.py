@@ -9,14 +9,42 @@ k-fold planning, and a key=value-configured command line.
 """
 
 import os
+import sys
 
-# one BLAS thread unless the user chose a count: the U-Net forward and the
-# training step run half-batch shards on two threads, and a BLAS that also
-# starts one thread per core in each of them oversubscribes the cores.
-# OpenBLAS reads these when numpy loads it, so this must precede numpy.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+# one BLAS thread unless the user chose a count: a split forward runs its
+# second half-batch shard in a forked worker process, which a BLAS with a
+# thread pool of its own could hang, and a BLAS that starts one thread per
+# core in both processes oversubscribes the cores.  OpenBLAS reads these
+# when numpy loads it, so this must precede numpy.
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in _BLAS_VARS:
     os.environ.setdefault(_var, "1")
 del _var
+# whether numpy loaded its BLAS after all three variables held 1
+BLAS_PINNED = "numpy" not in sys.modules and all(os.environ[v] == "1" for v in _BLAS_VARS)
+
+
+def blas_in_effect() -> dict:
+    """numpy's BLAS and the thread count it runs (None where it cannot say)."""
+    import ctypes
+    import glob
+
+    import numpy as np
+
+    try:
+        dep = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name = f"{dep['name']} {dep.get('version', '')}".strip()
+    except (KeyError, TypeError):
+        name = "unknown"
+    threads = None
+    # numpy's Linux wheels bundle scipy-openblas, which exports its thread
+    # getter; dlopen hands back the copy numpy already loaded
+    for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                      "libscipy_openblas64_*")):
+        get = ctypes.CDLL(lib).scipy_openblas_get_num_threads64_
+        get.argtypes, get.restype = (), ctypes.c_int
+        threads = get()
+    return {"name": name, "threads": threads}
 
 
 def _raise_malloc_thresholds() -> str:
@@ -94,6 +122,7 @@ from .errors import (
     PgmError,
     ScaleGuardError,
     ShapeError,
+    ShardWorkerError,
 )
 from .ops import ConvParams, channel_norm, conv2d, he_conv, maxpool2x2, upconv2x2
 from .rng import make_rng
@@ -136,7 +165,7 @@ __all__ = [
     "kfold_split", "load_dataset", "save_dataset",
     "CheckpointError", "ConfigError", "ContractError", "DatasetError", "DegenerateWindowError",
     "GenerationError", "LabelError", "LfamError", "NumericalError",
-    "PgmError", "ScaleGuardError", "ShapeError",
+    "PgmError", "ScaleGuardError", "ShapeError", "ShardWorkerError",
     "ConvParams", "channel_norm", "conv2d", "he_conv", "maxpool2x2", "upconv2x2",
     "make_rng",
     "Tape", "Tensor", "backward", "grad_check", "masked_softmax",

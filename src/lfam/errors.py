@@ -60,3 +60,8 @@ class DatasetError(ContractError, OSError):
 
 class CheckpointError(LfamError, IOError):
     """Checkpoint file is missing, malformed, or built for another architecture."""
+
+
+class ShardWorkerError(LfamError, RuntimeError):
+    """The worker process that runs a split forward's second shard could not
+    start, or ended (by a signal or an exit status, which the message names)."""

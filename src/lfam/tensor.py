@@ -9,9 +9,9 @@ order; leaf_grads() replays the nodes once, in reverse, and returns the
 gradient of every requires_grad tensor not produced on the tape, and
 backward() accumulates those into .grad.  Without an active tape the same
 functions are plain numpy computations.  unet's split training step runs
-each half-batch on its own sub-tape and records one node over both; its
-vjp walks the two sub-tapes with leaf_grads in two threads, which share
-the parameters but write no .grad.
+each half-batch on its own sub-tape, the second in a worker process, and
+records one node over both; its vjp walks each sub-tape with leaf_grads,
+which writes no .grad, and sums their gradients.
 
 One op may reuse the buffer it consumes: relu takes overwrite=True to
 write its result into its input's buffer, and unet's conv blocks pass it
@@ -199,7 +199,8 @@ def leaf_grads(tape: Tape, out: Tensor, seed: np.ndarray) -> list[tuple[Tensor, 
 
     Replays the nodes once, in reverse, and returns one pair per
     requires_grad tensor not produced on the tape that out depends on.
-    Writes no .grad, so two threads may walk tapes that share leaves.
+    Writes no .grad, so the caller decides how the gradients of tapes that
+    share leaves combine.
     """
     # id -> (tensor, gradient flowing into it); every recorded output has
     # requires_grad, so that flag alone decides which inputs get a flow

@@ -246,7 +246,10 @@ def optimizer_step(opt: OptimState, params: dict[str, Tensor],
         c1 = 1.0 - ADAM_BETA1 ** opt.step
         c2 = 1.0 - ADAM_BETA2 ** opt.step
         opt.m = ADAM_BETA1 * _flat_state(opt.m, g) + (1.0 - ADAM_BETA1) * g
-        opt.v = ADAM_BETA2 * _flat_state(opt.v, g) + (1.0 - ADAM_BETA2) * g * g
+        try:  # raises only under np.errstate(over="raise"), as in train_loop
+            opt.v = ADAM_BETA2 * _flat_state(opt.v, g) + (1.0 - ADAM_BETA2) * g * g
+        except FloatingPointError as exc:
+            raise NumericalError(f"Adam second moment: {exc}") from exc
         step = lr * (opt.m / c1) / (np.sqrt(opt.v / c2) + ADAM_EPS)
     offset = 0
     for p in params.values():
@@ -409,7 +412,7 @@ def train_loop(model: ModelState, data, cfg: TrainConfig, out_dir=None) -> RunLo
             model.zero_grads()
             where = f"at epoch {epoch} batch {b_start // cfg.batch_size} (lr {lr!r})"
             # a step that diverges stops at its first overflow or NaN, named
-            # here, not with non-finite gradients written into the model
+            # here, not with non-finite values written into the model
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
                     with Tape() as tape:
@@ -419,15 +422,18 @@ def train_loop(model: ModelState, data, cfg: TrainConfig, out_dir=None) -> RunLo
                     if not np.isfinite(loss_value):
                         raise NumericalError(f"non-finite loss {loss_value}")
                     backward(tape, loss)
+                    optimizer_step(opt, model.params,
+                                   {name: p.grad for name, p in model.params.items()}, lr)
             except (NumericalError, FloatingPointError) as exc:
                 raise NumericalError(f"{exc} {where}") from exc
-            optimizer_step(opt, model.params,
-                           {name: p.grad for name, p in model.params.items()}, lr)
             seen += len(batch)
             loss_sum += loss_value * len(batch)
 
         if val_images:
-            per_class, miou = evaluate(model, val_images, cfg.batch_size)
+            try:
+                per_class, miou = evaluate(model, val_images, cfg.batch_size)
+            except NumericalError as exc:
+                raise NumericalError(f"{exc} in validation after epoch {epoch}") from exc
         else:
             per_class = np.full(model.config.num_classes, np.nan)
             miou = float("nan")

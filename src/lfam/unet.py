@@ -14,18 +14,26 @@ a differently-shaped network by comparing an architecture fingerprint.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
+import functools
 import hashlib
+import itertools
 import os
+import signal
 import struct
 import threading
+import traceback
+import warnings
+import weakref
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import BLAS_PINNED, blas_in_effect
 from .attention import LfamConfig, ResidualSource, init_lfam_params, lfam_forward
 from .costmodel import attention_flops_local, fusion_levels
-from .errors import CheckpointError, ConfigError, ContractError, ShapeError
+from .errors import CheckpointError, ConfigError, ContractError, ShapeError, ShardWorkerError
 from .ops import ConvParams, channel_norm, conv2d, he_conv, init_norm, maxpool2x2, upconv2x2
 from .rng import make_rng
 from .tensor import (Tape, Tensor, _active_tape, _apply, concat_channels, leaf_grads, relu,
@@ -201,37 +209,36 @@ def build_unet(cfg: UNetConfig, seed: int, dtype=np.float32) -> ModelState:
 
 
 # Each shard of a split forward holds at least this many pixels (images x h x w),
-# with or without a tape.  On small shards, handing the interpreter lock back
-# and forth between the two threads on many short ops costs more than the
-# second core gives.  Serial -> split on two cores, perfbench's network in
-# float32, medians of interleaved calls in one process:
+# with or without a tape.  Serial -> split with the second shard in the
+# worker process, perfbench's network in float32, medians of 21 interleaved
+# calls in one process on a shared 2-vCPU host:
 #
 #   n, side, m   pixels per shard   no-tape forward (ms)   taped step (ms)
-#   2, 128, 7    16384              42.4 -> 24.0           116.7 -> 75.3
-#   6, 64, 7     12288              33.9 -> 19.4
-#   4, 64, 16    8192                                      105.8 -> 46.7
-#   4, 64, 7     8192               22.3 -> 15.6            57.2 -> 41.2
-#   16, 32, 4    8192               17.1 -> 12.2            58.2 -> 52.6
-#   8, 32, 4     4096                8.3 ->  9.6            21.8 -> 22.8
-#   2, 64, 7     4096                9.9 -> 12.2
+#   2, 128, 7    16384              21.2 -> 13.4            72.0 -> 42.4
+#   6, 64, 7     12288              17.9 -> 13.4            57.5 -> 36.6
+#   4, 64, 16    8192               21.2 -> 11.3            65.8 -> 32.9
+#   4, 64, 7     8192               15.4 ->  9.1            49.1 -> 25.1
+#   16, 32, 4    8192               14.7 ->  8.7            44.9 -> 24.3
+#   8, 32, 4     4096                5.3 ->  5.3            13.7 -> 13.3
+#   2, 64, 7     4096                8.2 ->  5.2            21.9 -> 13.8
 #
 # The taped step is forward, focal-IoU loss and backward.  So wide16's
 # (4, 64x64) splits, while desk32's (8, 32x32) and tier-1 batches stay whole.
+# A lower floor would split desk32 and move its bits (each weight gradient
+# summed as two halves), so it waits for a change of its own.
 _SHARD_MIN_PIXELS = 8192
 
-_helper = None  # the shard helper's ThreadPoolExecutor
-_helper_lock = threading.Lock()
-
-
-def _shard_helper():
-    """The one worker thread that runs second shards, started on first use."""
-    global _helper
-    with _helper_lock:
-        if _helper is None:
-            # imported here, as concurrent.futures adds about 6 ms to importing lfam
-            from concurrent.futures import ThreadPoolExecutor
-            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="lfam-shard")
-        return _helper
+# A split's second shard runs in one worker process, forked at the first
+# split and fed over a pipe.  The worker keeps a copy of each caller model,
+# loaded from the caller's model.data at every forward, and the sub-tape of
+# each taped shard until the caller releases it.
+_POLL_S = 0.2  # how often a wait on the pipe checks that the other end lives
+_keys = itertools.count()  # names models and shards to the worker
+_released: list[int] = []  # keys whose caller-side owner was collected, sent with the next request
+_model_keys: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_worker = None  # the _Worker last forked
+_worker_lock = threading.Lock()  # one request and its reply at a time, across caller threads
+_WARNED: dict = {}  # warn_explicit's registry for the worker's warnings
 
 
 def _cores() -> int:
@@ -241,22 +248,243 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _run_shards(fn, first, second) -> tuple:
-    """(fn(first), fn(second)), concurrently when two cores are usable.
+@functools.cache
+def _fork_refusal() -> str | None:
+    """Why a second shard may not run in a forked worker, or None.
 
-    fn(first) runs in the calling thread and fn(second) on the helper; with
-    one usable core both run in the caller, one after the other.  The helper
-    is joined before this returns or raises; when both calls fail, the
-    first call's exception is raised.
+    A forked process keeps only the thread that forked it, so a BLAS with a
+    thread pool of its own may hang there: forking needs a BLAS on one thread.
     """
+    if not hasattr(os, "fork"):
+        return "this platform has no fork"
+    threads = blas_in_effect()["threads"]
+    if threads is None and not BLAS_PINNED:
+        return "numpy was imported before lfam, and its BLAS thread count is unknown"
+    if threads not in (None, 1):
+        return f"numpy's BLAS runs {threads} threads"
+    return None
+
+
+def shard_mode() -> str:
+    """How a split forward runs its second shard: "worker", or why in the caller."""
     if _cores() < 2:
-        return fn(first), fn(second)
-    future = _shard_helper().submit(fn, second)
+        return "in the caller: one usable core"
+    refusal = _fork_refusal()
+    return f"in the caller: {refusal}" if refusal else "worker"
+
+
+def _exit_reason(status: int) -> str:
+    code = os.waitstatus_to_exitcode(status)
+    return f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited with status {code}"
+
+
+class _RemoteTraceback(Exception):
+    """The worker's traceback, chained to the exception it raised."""
+
+    def __str__(self):
+        return self.args[0]
+
+
+class _Worker:
+    """The caller's end of the shard worker: the pipe and the forked pid."""
+
+    def __init__(self, conn, pid: int):
+        self.conn, self.pid = conn, pid
+        self.ended: str | None = None  # how the worker ended, once the caller knows
+
+    def call(self, request: tuple, local):
+        """(local(), the worker's reply): the request goes first, so both run at once.
+
+        The reply is always read, so the pipe stays in step; when both fail,
+        local's error wins.
+        """
+        with _worker_lock:
+            self._send(request)
+            try:
+                mine = local()
+            except BaseException:
+                with contextlib.suppress(Exception):
+                    self._receive()
+                raise
+            return mine, self._receive()
+
+    def _send(self, request: tuple) -> None:
+        drop = []
+        while _released:
+            drop.append(_released.pop())
+        self._check(block=False)
+        try:
+            self.conn.send((drop, np.geterr()) + request)
+        except OSError:
+            self._check(block=True)
+            raise
+        except BaseException:  # cut off mid-message: the pipe is out of step
+            self.stop()
+            raise
+
+    def _receive(self):
+        try:
+            while not self.conn.poll(_POLL_S):
+                self._check(block=False)
+            ok, value, extra = self.conn.recv()
+        except (EOFError, OSError):
+            self._check(block=True)
+            raise
+        except BaseException:
+            self.stop()
+            raise
+        if not ok:
+            raise value from _RemoteTraceback(extra)
+        for message, category, filename, lineno in extra:  # the worker's warnings
+            warnings.warn_explicit(message, category, filename, lineno, registry=_WARNED)
+        return value
+
+    def _check(self, block: bool) -> None:
+        """Raise ShardWorkerError once the worker has ended.  block, used once
+        its end of the pipe is gone, kills it if need be and waits for it."""
+        if self.ended is None:
+            if block:  # a worker with no pipe left is dying; never wait on one that is not
+                os.kill(self.pid, signal.SIGKILL)
+            pid, status = os.waitpid(self.pid, 0 if block else os.WNOHANG)
+            if not pid:
+                return
+            self.conn.close()
+            self.ended = _exit_reason(status)
+        raise ShardWorkerError(f"the shard worker process (pid {self.pid}) {self.ended}")
+
+    def stop(self) -> None:
+        """End the worker and reap it; every later call raises ShardWorkerError."""
+        if self.ended is None:
+            self.conn.close()
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.ended = "was stopped by the caller"
+
+
+def _shard_worker() -> _Worker | None:
+    """The shard worker, forked on first use and after it ends; None where
+    forking is refused (_fork_refusal)."""
+    global _worker
+    if _fork_refusal():
+        return None
+    with _worker_lock:
+        if _worker is None or _worker.ended:
+            from multiprocessing.connection import Pipe  # imported here: it adds ~10 ms to importing lfam
+
+            caller_end, worker_end = Pipe()
+            caller = os.getpid()
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                caller_end.close()
+                worker_end.close()
+                raise ShardWorkerError(f"cannot start the shard worker: {exc}") from exc
+            if pid == 0:
+                _worker_main(worker_end, caller_end, caller)
+            worker_end.close()
+            _worker = _Worker(caller_end, pid)
+        return _worker
+
+
+@atexit.register
+def _stop_worker() -> None:
+    if _worker is not None:
+        _worker.stop()
+
+
+def _worker_main(conn, caller_end, caller: int) -> None:
+    """The forked worker's whole life; it leaves by os._exit, so it never
+    flushes or finalizes a copy of the caller's state."""
+    code = 1
     try:
-        head = fn(first)
+        caller_end.close()  # so the caller's exit is end of file here
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to act on
+        # the caller's stdout and stderr may be a reader's pipe that waits for
+        # end of file: never hold them
+        devnull = os.open(os.devnull, os.O_RDWR)
+        os.dup2(devnull, 1)
+        os.dup2(devnull, 2)
+        os.close(devnull)
+        _serve(conn, caller)
+        code = 0
     finally:
-        future.exception()  # waits for the helper; its error is raised below or dropped
-    return head, future.result()
+        os._exit(code)
+
+
+def _serve(conn, caller: int) -> None:
+    """Answer shard requests on conn until it closes or the process's parent
+    is no longer caller.
+
+    A request is (released keys, numpy error state, kind, *args).  The reply
+    is (True, value, [warning fields]) or (False, exception, traceback text).
+    """
+    models: dict[int, ModelState] = {}
+    shards: dict[int, tuple] = {}
+    while True:
+        try:
+            while not conn.poll(_POLL_S):
+                if os.getppid() != caller:
+                    return
+            drop, err, kind, *args = conn.recv()
+        except (EOFError, OSError):
+            return
+        for key in drop:
+            models.pop(key, None)
+            shards.pop(key, None)
+        try:
+            with np.errstate(**err), warnings.catch_warnings(record=True) as seen:
+                if kind == "forward":
+                    value = _serve_forward(models, shards, *args)
+                else:
+                    value = _serve_backward(shards, *args)
+            reply = (True, value, [(str(w.message), w.category, w.filename, w.lineno)
+                                   for w in seen])
+        except Exception as exc:
+            reply = (False, exc, traceback.format_exc())
+        try:
+            conn.send(reply)
+        except OSError:
+            return
+        except Exception:  # an exception the pipe cannot carry goes as its type and message
+            error = ShardWorkerError(f"{type(reply[1]).__name__}: {reply[1]}")
+            conn.send((False, error, reply[2]))
+
+
+def _serve_forward(models, shards, model_key, cfg, data, flags, x, x_grad, shard_key):
+    model = models.get(model_key)
+    if model is None:
+        model = models[model_key] = build_unet(cfg, seed=0, dtype=data.dtype)
+    model.data[...] = data
+    for p, flag in zip(model.params.values(), flags):
+        p.requires_grad = flag
+    x = Tensor(x, requires_grad=x_grad)
+    if shard_key is None:
+        return _forward_layers(model, x, lfam_forward).data
+    with Tape() as tape:
+        out = _forward_layers(model, x, lfam_forward)
+    shards[shard_key] = ((tape, out, x), model)
+    return out.data
+
+
+def _serve_backward(shards, shard_key, g):
+    shard, model = shards[shard_key]
+    return _shard_grads(shard, g, model)
+
+
+def _shard_grads(shard, g: np.ndarray, model: ModelState):
+    """A shard's gradients: its model's, flat in params order, and its input's (or None)."""
+    tape, out, x = shard
+    found = {id(t): gt for t, gt in leaf_grads(tape, out, g)}
+    flat = np.concatenate([found[id(p)].ravel() for p in model.params.values() if p.requires_grad])
+    return flat, found.get(id(x))
+
+
+def _model_key(model: ModelState) -> int:
+    key = _model_keys.get(model)
+    if key is None:
+        key = _model_keys[model] = next(_keys)
+        weakref.finalize(model, _released.append, key)
+    return key
 
 
 def forward(model: ModelState, x: Tensor, lfam_fn=None) -> Tensor:
@@ -269,17 +497,16 @@ def forward(model: ModelState, x: Tensor, lfam_fn=None) -> Tensor:
     images hold at least _SHARD_MIN_PIXELS pixels is split there, and the
     halves run as shards through _split_forward.  No layer couples images,
     so the logits are bitwise those of the whole batch.  The split depends
-    only on x's shape; the number of cores only decides whether the shards
-    run concurrently or one after the other.  A substituted lfam_fn always
-    runs serially in the calling thread, since it need not be thread-safe.
+    only on x's shape; the host only decides where the second shard runs.
+    A substituted lfam_fn always runs serially in the calling process.
 
     Under an active tape each shard records on its own sub-tape (with no
     tape, none is opened), and the active tape gets one "unet_shards" node
     whose inputs are the parameters, plus x when it requires a gradient.
-    Its vjp walks both sub-tapes through _run_shards and adds their
-    parameter gradients in shard order.  Each weight gradient's sum over
-    the batch is so taken as two halves, which moves it at float rounding
-    from the unsplit batch's.
+    Its vjp walks both sub-tapes and adds their flat parameter gradients
+    in shard order.  Each weight gradient's sum over the batch is so taken
+    as two halves, which moves it at float rounding from the unsplit
+    batch's.
     """
     cfg = model.config
     n, c, h, w = x.shape
@@ -295,35 +522,61 @@ def forward(model: ModelState, x: Tensor, lfam_fn=None) -> Tensor:
 
 
 def _split_forward(model: ModelState, x: Tensor, half: int) -> Tensor:
-    """The network on x[:half] and x[half:] as two shards; see forward."""
+    """The network on x[:half] and x[half:] as two shards; see forward.
+
+    The caller runs the first shard.  The second runs in the shard worker
+    at the same time, or after the first in the caller when the host has
+    one usable core or refuses to fork (shard_mode); the bits are the same.
+    """
     taped = _active_tape() is not None
-
-    def shard_forward(t: Tensor) -> tuple[Tape | None, Tensor]:
-        with Tape() if taped else contextlib.nullcontext() as tape:
-            return tape, _forward_layers(model, t, lfam_forward)
-
     xs = (Tensor(x.data[:half], requires_grad=x.requires_grad),
           Tensor(x.data[half:], requires_grad=x.requires_grad))
-    shards = _run_shards(shard_forward, *xs)
-    logits = np.concatenate([out.data for _, out in shards])
+
+    def local(t: Tensor) -> tuple:
+        with Tape() if taped else contextlib.nullcontext() as tape:
+            return tape, _forward_layers(model, t, lfam_forward), t
+
+    worker = _shard_worker() if _cores() > 1 else None
+    if worker is None:
+        shards = [local(xs[0]), local(xs[1])]
+        tail = shards[1][1].data
+    else:
+        key = next(_keys) if taped else None
+        flags = tuple(p.requires_grad for p in model.params.values())
+        request = ("forward", _model_key(model), model.config, model.data, flags,
+                   xs[1].data, x.requires_grad, key)
+        try:
+            head, tail = worker.call(request, lambda: local(xs[0]))
+        except BaseException:
+            if key is not None:
+                _released.append(key)
+            raise
+        shards = [head]
+    logits = np.concatenate([shards[0][1].data, tail])
     if not taped:
         return Tensor(logits)
-    for (_, out), part in zip(shards, (logits[:half], logits[half:])):
+    for (_, out, _), part in zip(shards, (logits[:half], logits[half:])):
         out.data = part  # the tape then holds one copy of the logits, not two
     params = [p for p in model.params.values() if p.requires_grad]
     inputs = params + [x] if x.requires_grad else params
+    ends = np.cumsum([p.size for p in params])
 
     def vjp(g):
-        def shard_grads(shard):
-            tape, out, seed = shard
-            return {id(t): gt for t, gt in leaf_grads(tape, out, seed)}
-
-        found = _run_shards(shard_grads, (*shards[0], g[:half]), (*shards[1], g[half:]))
-        grads = [found[0][id(p)] + found[1][id(p)] for p in params]
+        if worker is None:
+            (flat, gx), (flat2, gx2) = (_shard_grads(s, gs, model)
+                                        for s, gs in zip(shards, (g[:half], g[half:])))
+        else:
+            (flat, gx), (flat2, gx2) = worker.call(
+                ("backward", key, g[half:]),
+                lambda: _shard_grads(shards[0], g[:half], model))
+        flat = flat + flat2
+        grads = [flat[end - p.size:end].reshape(p.shape) for p, end in zip(params, ends)]
         if x.requires_grad:
-            grads.append(np.concatenate([f[id(t)] for f, t in zip(found, xs)]))
+            grads.append(np.concatenate([gx, gx2]))
         return grads
 
+    if worker is not None:
+        weakref.finalize(vjp, _released.append, key)
     return _apply("unet_shards", inputs, logits, vjp)
 
 

@@ -230,6 +230,7 @@ class TestSubcommands:
         assert "version" in run_meta
         assert run_meta["malloc"] == lfam.MALLOC_TUNING
         assert set(run_meta["blas"]) == {"name", "threads"} and run_meta["blas"]["name"]
+        assert run_meta["shards"] == lfam.unet.shard_mode()
         log = (out / "log.csv").read_text().strip().split("\n")
         assert len(log) == 3  # header + 2 epochs
         assert (out / "best.ckpt").exists()
@@ -251,6 +252,15 @@ class TestSubcommands:
         out = tmp_path / "out"
         assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert len((out / "log.csv").read_text().splitlines()) == 4  # header + 3 epochs
+
+    def test_an_adam_second_moment_overflow_is_a_numerical_error(self, tmp_path, capsys):
+        # at ten times the rate above, g * g overflows float32 in Adam's second
+        # moment, which then held inf and took zero steps there: losses of 1e13
+        cfg = write_cfg(tmp_path, "data.size=32\ndata.n_images=16\nlfam.local_range=4\n"
+                                  "train.epochs=3\ntrain.lr_base=0.5\ntrain.schedule=constant\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+        assert re.search(r"numerical error: Adam second moment: overflow .* at epoch \d+ batch \d+",
+                         capsys.readouterr().err)
 
     def test_eval_reports_iou_from_checkpoint(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, SMALL_TRAIN)

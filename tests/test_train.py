@@ -596,6 +596,22 @@ class TestTrainLoop:
         assert splits == [(4, 1, 64, 64)] * 6  # two batches per run
         assert logs[0] == logs[1] == logs[2]
 
+    def test_a_validation_numerical_error_names_its_epoch(self, monkeypatch):
+        # one batch per epoch; its update leaves a non-finite parameter, which
+        # only the validation forward after epoch 0 meets
+        model, data, _ = tiny_setup()
+        real = lfam.train.optimizer_step
+
+        def poisoning(opt, params, grads, lr):
+            real(opt, params, grads, lr)
+            next(iter(params.values())).data[...] = np.inf
+
+        monkeypatch.setattr(lfam.train, "optimizer_step", poisoning)
+        # numpy's warnings on the way to the check are not this test's subject
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalError, match=r"evaluation batch .* in validation after epoch 0$"):
+            train_loop(model, data, TrainConfig(epochs=2, batch_size=8))
+
     def test_zero_epochs_leaves_parameters_untouched(self):
         model, data, cfg = tiny_setup()
         before = {k: v.data.copy() for k, v in model.params.items()}

@@ -4,14 +4,15 @@ import os
 import struct
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from multiprocessing.connection import Pipe
 
 import numpy as np
 import pytest
 
 from lfam import attention, ops, unet
 from lfam.attention import LfamConfig, ResidualSource, global_attention_oracle, lfam_forward
-from lfam.errors import CheckpointError, ConfigError, ContractError, NumericalError, ShapeError
+from lfam.errors import (CheckpointError, ConfigError, ContractError, NumericalError, ShapeError,
+                         ShardWorkerError)
 from lfam.rng import make_rng
 from lfam.tensor import Tape, Tensor, backward, grad_check, leaf_grads, pow_const, sum_all
 from lfam.ops import he_conv
@@ -224,34 +225,50 @@ def bench_cfg(m=7, skip="lfam", **kw):
                       skips=(spec, spec), **kw)
 
 
-class RecordingHelper:
-    """Stands in for the shard helper; keeps every future it hands out."""
+class ThreadWorker(unet._Worker):
+    """The shard worker's serve loop on a thread of this process, so that
+    monkeypatches reach the second shard; records each request's kind."""
 
     def __init__(self):
-        self.pool = ThreadPoolExecutor(max_workers=1)
-        self.futures = []
+        caller_end, self.worker_end = Pipe()
+        super().__init__(caller_end, pid=None)
+        self.sent = []
+        self.thread = threading.Thread(target=unet._serve, args=(self.worker_end, os.getppid()),
+                                       daemon=True)
+        self.thread.start()
 
-    def submit(self, fn, *args):
-        future = self.pool.submit(fn, *args)
-        self.futures.append(future)
-        return future
+    def _send(self, request):
+        self.sent.append(request[0])
+        super()._send(request)
+
+    def _check(self, block):
+        if block or self.ended:
+            self.conn.close()
+            raise ShardWorkerError("the serving thread closed its pipe")
+
+    def stop(self):
+        self.conn.close()
+        self.ended = "was stopped by the test"
 
 
 @pytest.fixture
-def helper(monkeypatch):
-    """A recording helper on a host that reports two cores."""
-    rec = RecordingHelper()
-    monkeypatch.setattr(unet, "_shard_helper", lambda: rec)
+def worker(monkeypatch):
+    """A thread-served shard worker on a host that reports two cores."""
+    w = ThreadWorker()
+    monkeypatch.setattr(unet, "_shard_worker", lambda: w)
     monkeypatch.setattr(unet, "_cores", lambda: 2)
-    yield rec
-    rec.pool.shutdown()
+    yield w
+    w.stop()
+    w.thread.join(timeout=10)
+    w.worker_end.close()
+    assert not w.thread.is_alive()
 
 
 @pytest.fixture
-def no_helper(monkeypatch):
+def no_worker(monkeypatch):
     def refuse():
-        raise AssertionError("the shard helper was used")
-    monkeypatch.setattr(unet, "_shard_helper", refuse)
+        raise AssertionError("the shard worker was used")
+    monkeypatch.setattr(unet, "_shard_worker", refuse)
     monkeypatch.setattr(unet, "_cores", lambda: 2)
 
 
@@ -262,24 +279,24 @@ def images(n, side, seed=0, dtype=np.float32):
 class TestShardedForward:
     @pytest.mark.parametrize("n", [4, 3])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_split_logits_equal_the_whole_batch_bitwise(self, helper, n, dtype):
+    def test_split_logits_equal_the_whole_batch_bitwise(self, worker, n, dtype):
         model = build_unet(bench_cfg(), seed=40, dtype=dtype)
         x = images(n, 128, seed=41, dtype=dtype)
         got = forward(model, x).data
-        assert len(helper.futures) == 1 and got.dtype == dtype
+        assert worker.sent == ["forward"] and got.dtype == dtype
         np.testing.assert_array_equal(got, unet._forward_layers(model, x, lfam_forward).data)
 
     @pytest.mark.parametrize("cfg", [bench_cfg(channel_norm=True), bench_cfg(skip="concat"),
                                      bench_cfg(skip="none"), bench_cfg(m=5)],
                              ids=["channel_norm", "concat", "none", "padded_m5"])
-    def test_split_logits_equal_across_configs(self, helper, cfg):
+    def test_split_logits_equal_across_configs(self, worker, cfg):
         model = build_unet(cfg, seed=42)
         x = images(3, 128, seed=43)
         got = forward(model, x).data
-        assert len(helper.futures) == 1
+        assert worker.sent == ["forward"]
         np.testing.assert_array_equal(got, unet._forward_layers(model, x, lfam_forward).data)
 
-    def test_one_core_runs_both_halves_in_the_caller(self, no_helper, monkeypatch):
+    def test_one_core_runs_both_halves_in_the_caller(self, no_worker, monkeypatch):
         monkeypatch.setattr(unet, "_cores", lambda: 1)
         model = build_unet(bench_cfg(), seed=44)
         x = images(3, 128, seed=45)
@@ -290,14 +307,14 @@ class TestShardedForward:
         monkeypatch.delattr("os.sched_getaffinity", raising=False)
         assert unet._cores() == (os.cpu_count() or 1)
 
-    def test_taped_forward_below_the_floor_stays_serial(self, no_helper):
+    def test_taped_forward_below_the_floor_stays_serial(self, no_worker):
         # desk32's network and batch (m=4, unpadded, 8 x 32x32): 4096-pixel halves
         model = build_unet(bench_cfg(m=4), seed=46)
         with Tape() as tape:
             forward(model, images(8, 32, seed=47))
         assert len(tape.nodes) == 39
 
-    def test_substituted_fusion_runs_in_the_calling_thread(self, no_helper):
+    def test_substituted_fusion_runs_in_the_calling_thread(self, no_worker):
         callers = []
 
         def recording(enc, dec, params, cfg):
@@ -311,39 +328,44 @@ class TestShardedForward:
         np.testing.assert_array_equal(got, unet._forward_layers(model, x, lfam_forward).data)
 
     @pytest.mark.parametrize("n, side", [(8, 32), (2, 64), (1, 128), (4, 16)])
-    def test_below_the_pixel_floor_no_helper_is_used(self, no_helper, n, side):
+    def test_below_the_pixel_floor_no_worker_is_used(self, no_worker, n, side):
         assert (n + 1) // 2 * side * side < unet._SHARD_MIN_PIXELS or n == 1
         forward(build_unet(bench_cfg(m=4), seed=50), images(n, side, seed=51))
 
     @pytest.mark.parametrize("n, side", [(4, 64), (6, 64)])
-    def test_a_batch_at_or_above_the_pixel_floor_is_split(self, helper, n, side):
+    def test_a_batch_at_or_above_the_pixel_floor_is_split(self, worker, n, side):
         assert (n + 1) // 2 * side * side >= unet._SHARD_MIN_PIXELS
         forward(build_unet(bench_cfg(m=4), seed=52), images(n, side, seed=53))
-        assert len(helper.futures) == 1
+        assert worker.sent == ["forward"]
 
     @pytest.mark.parametrize("bad", [0, 3], ids=["first_half", "second_half"])
-    def test_nonfinite_image_raises_and_the_helper_is_joined(self, helper, bad):
+    def test_nonfinite_image_raises_and_the_worker_stays_in_step(self, worker, bad):
         model = build_unet(bench_cfg(), seed=54)
         x = images(4, 128, seed=55)
         poisoned = x.data.copy()
         poisoned[bad, 0, 5, 7] = np.nan
         with pytest.raises(NumericalError):
             forward(model, Tensor(poisoned))
-        assert [f.done() for f in helper.futures] == [True]
         np.testing.assert_array_equal(forward(model, x).data,
                                       unet._forward_layers(model, x, lfam_forward).data)
+        assert worker.sent == ["forward", "forward"]
 
-    def test_when_both_halves_fail_the_first_half_error_wins(self, helper, monkeypatch):
+    def test_when_both_halves_fail_the_first_half_error_wins(self, worker, monkeypatch):
         def failing(model, x, lfam_fn):
             raise ContractError(f"half of {x.shape[0]}")
 
+        real = unet._forward_layers
+        model, x = build_unet(bench_cfg(), seed=56), images(3, 128, seed=57)
         monkeypatch.setattr(unet, "_forward_layers", failing)
         with pytest.raises(ContractError, match="half of 2"):
-            forward(build_unet(bench_cfg(), seed=56), images(3, 128, seed=57))
-        assert [f.done() for f in helper.futures] == [True]
+            forward(model, x)
+        monkeypatch.setattr(unet, "_forward_layers", real)
+        # the worker's error was read, so the pipe is in step for the next split
+        np.testing.assert_array_equal(forward(model, x).data, real(model, x, lfam_forward).data)
+        assert worker.sent == ["forward", "forward"]
 
-    def test_concurrent_callers_share_the_helper(self, monkeypatch):
-        # more caller threads than cores, switching often, through the real helper
+    def test_concurrent_callers_share_the_worker(self, monkeypatch):
+        # more caller threads than cores, switching often, through the forked worker
         monkeypatch.setattr(unet, "_cores", lambda: 2)
         model = build_unet(small_cfg("lfam"), seed=58)
         xs = [images(2, 128, seed=59 + i) for i in range(4)]
@@ -427,18 +449,18 @@ def wide16_batch(n, seed, dtype=np.float32):
 class TestShardedStep:
     @pytest.mark.parametrize("n", [4, 3], ids=["wide16", "odd"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_split_step_matches_the_serial_step(self, helper, n, dtype):
+    def test_split_step_matches_the_serial_step(self, worker, n, dtype):
         model, x, target = wide16_batch(n, 70, dtype)
         _, loss0, logits0, want = serial_step(model, x, target)
         tape, loss, logits, got = taped_step(model, x, target)
-        assert len(helper.futures) == 2  # the forward's second shard, then its backward's
+        assert worker.sent == ["forward", "backward"]
         assert len(tape.nodes) == 1 + 1  # unet_shards, then the focal-IoU loss
         assert tape.nodes[0].op == "unet_shards" and logits.dtype == dtype
         np.testing.assert_array_equal(loss.data, loss0.data)
         np.testing.assert_array_equal(logits.data, logits0.data)
         assert_close_to_serial(got, want, dtype)
 
-    def test_only_a_taped_split_opens_sub_tapes(self, helper, monkeypatch):
+    def test_only_a_taped_split_opens_sub_tapes(self, worker, monkeypatch):
         # a no-tape forward (evaluation) must hold no sub-tape of either shard
         opened = []
 
@@ -450,13 +472,13 @@ class TestShardedStep:
         monkeypatch.setattr(unet, "Tape", CountingTape)
         model, x, _ = wide16_batch(4, 78)
         forward(model, x)
-        assert opened == [] and len(helper.futures) == 1
+        assert opened == [] and worker.sent == ["forward"]
         with Tape() as tape:
             forward(model, x)
-        assert len(opened) == 2 and len(helper.futures) == 2
+        assert len(opened) == 2 and worker.sent == ["forward", "forward"]
         assert [node.op for node in tape.nodes] == ["unet_shards"]
 
-    def test_many_attention_blocks_give_the_one_block_step_bitwise(self, helper, monkeypatch):
+    def test_many_attention_blocks_give_the_one_block_step_bitwise(self, worker, monkeypatch):
         # one window per block (32 blocks per shard at level 0) against one
         # block per fusion call
         model, x, target = wide16_batch(4, 77)
@@ -470,25 +492,25 @@ class TestShardedStep:
         for name in grads_b:
             np.testing.assert_array_equal(grads_a[name], grads_b[name])
 
-    def test_second_backward_doubles_every_gradient(self, helper):
+    def test_second_backward_doubles_every_gradient(self, worker):
         model, x, target = wide16_batch(4, 71)
         tape, loss, _, once = taped_step(model, x, target)
         backward(tape, loss)
         for name, p in model.params.items():
             np.testing.assert_array_equal(p.grad, 2 * once[name])
 
-    def test_one_core_gives_the_two_core_gradients_bitwise(self, helper, monkeypatch):
+    def test_one_core_gives_the_two_core_gradients_bitwise(self, worker, monkeypatch):
         model, x, target = wide16_batch(3, 72)
         _, loss2, _, two = taped_step(model, x, target)
         monkeypatch.setattr(unet, "_cores", lambda: 1)
         _, loss1, _, one = taped_step(model, x, target)
-        assert len(helper.futures) == 2  # only the two-core step used the helper
+        assert worker.sent == ["forward", "backward"]  # only the two-core step used the worker
         np.testing.assert_array_equal(loss1.data, loss2.data)
         for name in two:
             np.testing.assert_array_equal(one[name], two[name])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_input_gets_the_serial_input_gradient(self, helper, dtype):
+    def test_input_gets_the_serial_input_gradient(self, worker, dtype):
         model, x, target = wide16_batch(3, 73, dtype)
         x.requires_grad = True
         serial_step(model, x, target)
@@ -497,12 +519,12 @@ class TestShardedStep:
         assert tape.nodes[0].inputs[-1] is x
         assert_close_to_serial({"x": x.grad}, {"x": want}, dtype)
 
-    def test_substituted_fusion_records_the_serial_step(self, no_helper):
+    def test_substituted_fusion_records_the_serial_step(self, no_worker):
         model, x, target = wide16_batch(4, 74)
         tape, _, _, _ = taped_step(model, x, target, lambda t: forward(model, t, lfam_forward))
         assert len(tape.nodes) == 40  # 39 forward, 1 loss
 
-    def test_each_shard_sub_tape_records_the_serial_forward(self, helper, monkeypatch):
+    def test_each_shard_sub_tape_records_the_serial_forward(self, worker, monkeypatch):
         made = []
 
         class RecordedTape(Tape):
@@ -516,7 +538,7 @@ class TestShardedStep:
         assert [len(t.nodes) for t in made] == [39, 39]
 
     @pytest.mark.parametrize("bad", [0, 3], ids=["first_half", "second_half"])
-    def test_nonfinite_image_raises_and_records_nothing(self, helper, bad):
+    def test_nonfinite_image_raises_and_records_nothing(self, worker, bad):
         model, x, target = wide16_batch(4, 75)
         poisoned = x.data.copy()
         poisoned[bad, 0, 5, 7] = np.nan
@@ -524,14 +546,13 @@ class TestShardedStep:
             with pytest.raises(NumericalError):
                 forward(model, Tensor(poisoned))
         assert tape.nodes == []
-        assert [f.done() for f in helper.futures] == [True]
         _, loss0, _, want = serial_step(model, x, target)
         _, loss, _, got = taped_step(model, x, target)
         np.testing.assert_array_equal(loss.data, loss0.data)
         assert_close_to_serial(got, want, np.float32)
 
     @pytest.mark.parametrize("failing", [2, 1], ids=["first_shard", "second_shard"])
-    def test_failing_shard_vjp_propagates_out_of_backward(self, helper, monkeypatch, failing):
+    def test_failing_shard_vjp_propagates_out_of_backward(self, worker, monkeypatch, failing):
         model, x, target = wide16_batch(3, 76)  # shards of 2 and 1 images
         real = unet.leaf_grads
 
@@ -543,7 +564,7 @@ class TestShardedStep:
         monkeypatch.setattr(unet, "leaf_grads", leaf_grads)
         with pytest.raises(ContractError, match=f"shard of {failing} failed"):
             taped_step(model, x, target)
-        assert [f.done() for f in helper.futures] == [True, True]
+        assert worker.sent == ["forward", "backward"]
         assert not model.grad.any()  # zero_grads' zeros, with nothing added
         monkeypatch.setattr(unet, "leaf_grads", real)
         _, _, _, want = serial_step(model, x, target)
