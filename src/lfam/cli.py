@@ -8,8 +8,9 @@ constraint violations all fail with the offending line number; silence
 never hides a typo.
 
 Exit codes: 0 success, 1 internal error, 2 usage, 3 config error,
-4 file error, 5 numerical error, 141 stdout closed by its reader
-(128 + SIGPIPE, the code a shell reports for a process that SIGPIPE ends).
+4 file error, 5 numerical error, 130 interrupted by Ctrl-C (128 + SIGINT),
+141 stdout closed by its reader (128 + SIGPIPE); 130 and 141 are the codes
+a shell reports for a process that the signal ends.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_FILE = 4
 EXIT_NUMERICAL = 5
+EXIT_INTERRUPT = 130
 EXIT_PIPE = 141
 
 
@@ -473,6 +475,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
+    except KeyboardInterrupt:  # Ctrl-C; every artifact written so far is whole
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
     except OSError as exc:  # includes CheckpointError
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_FILE

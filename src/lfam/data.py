@@ -240,8 +240,8 @@ def write_pgm(path, arr: np.ndarray) -> None:
 def read_pgm(path) -> np.ndarray:
     """Read an 8-bit binary PGM; every malformed file raises PgmError."""
     data = Path(path).read_bytes()
-    if not data.startswith(b"P5"):
-        raise PgmError(f"{path}: not a binary PGM file")
+    if not (data.startswith(b"P5") and data[2:3].isspace()):
+        raise PgmError(f"{path}: not a binary PGM file (magic P5 then whitespace)")
     fields, pos = [], 2
     while len(fields) < 3:
         while pos < len(data) and data[pos:pos + 1].isspace():

@@ -1,4 +1,5 @@
-"""Convolution, pooling, and upconvolution layers over the tape.
+"""Convolution, pooling, upconvolution and normalization layers over the
+tape, each one node with a hand-written vjp.
 
 Each op has one geometry, set by the op and its kernel: conv2d is a
 stride-1 "same" conv with k 1 or 3 (zero padding p = k // 2); maxpool2x2
@@ -34,6 +35,9 @@ convolution with the in/out axes of the weight swapped.  maxpool2x2 takes
 the maximum of the four strided corner views and breaks ties toward the
 first corner in row-major block order, so forward and backward agree
 bit-for-bit.
+channel_norm is instance normalization (Ulyanov et al. 2016, arXiv
+1607.08022) with the closed-form standardization gradient (Ioffe & Szegedy
+2015).
 """
 
 from __future__ import annotations
@@ -43,15 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .tensor import (
-    Tensor,
-    _apply,
-    add,
-    mul,
-    pow_const,
-    sub,
-    sum_axes,
-)
+from .tensor import Tensor, _apply
 
 # a conv column block, or a block of attention windows' scores, takes at
 # most this many bytes: half of one core's 2 MiB L2, leaving room for the
@@ -254,11 +250,26 @@ def init_norm(channels: int, dtype=np.float32) -> NormParams:
 
 
 def channel_norm(x: Tensor, p: NormParams) -> Tensor:
-    """Standardize each (sample, channel) plane over h, w, then scale and shift."""
+    """Standardize each (sample, channel) plane over h, w, then scale and shift.
+
+    The vjp keeps x_hat and inv_std, not the output, which unet's relu
+    overwrites: gx = inv_std * (gs - mean(gs) - x_hat * mean(gs * x_hat)),
+    with gs = g * scale and each mean over a plane.
+    """
     _, _, h, w = x.shape
     inv_hw = 1.0 / (h * w)
-    mu = sum_axes(x, (2, 3)) * inv_hw
-    xc = sub(x, mu)
-    var = sum_axes(mul(xc, xc), (2, 3)) * inv_hw
-    inv_std = pow_const(var + 1e-5, -0.5)  # the 1e-5 keeps a flat plane finite
-    return add(mul(mul(xc, inv_std), p.scale), p.shift)
+    xhat = x.data - x.data.sum(axis=(2, 3), keepdims=True) * inv_hw  # centred; scaled below
+    var = (xhat * xhat).sum(axis=(2, 3), keepdims=True) * inv_hw
+    inv_std = (var + 1e-5) ** -0.5  # the 1e-5 keeps a flat plane finite
+    xhat *= inv_std
+    out = xhat * p.scale.data + p.shift.data
+
+    def vjp(g):
+        gs = g * p.scale.data
+        gx = gs - gs.sum(axis=(2, 3), keepdims=True) * inv_hw
+        gx -= xhat * ((gs * xhat).sum(axis=(2, 3), keepdims=True) * inv_hw)
+        gx *= inv_std
+        return (gx, (g * xhat).sum(axis=(0, 2, 3), keepdims=True),
+                g.sum(axis=(0, 2, 3), keepdims=True))
+
+    return _apply("channel_norm", (x, p.scale, p.shift), out, vjp)

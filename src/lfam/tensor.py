@@ -13,10 +13,15 @@ each half-batch on its own sub-tape, the second in a worker process, and
 records one node over both; its vjp walks each sub-tape with leaf_grads,
 which writes no .grad, and sums their gradients.
 
+The generic ops here are mul, relu, masked_softmax, the sums,
+concat_channels and the views; each layer of lfam.ops, the window-
+attention core and each loss records one node of its own.
+
 One op may reuse the buffer it consumes: relu takes overwrite=True to
 write its result into its input's buffer, and unet's conv blocks pass it
 for the conv or norm output.  No vjp reads that input (relu's vjp masks
-with its output: out > 0 is a > 0).  The window-attention core
+with its output: out > 0 is a > 0; channel_norm's keeps its standardized
+planes, not its output).  The window-attention core
 (attention._window_core) calls no masked_softmax: it takes exp in its
 own score buffer and normalises through its P·V product.  No vjp writes
 into the gradient it is handed; the one in-place gradient write is inside
@@ -94,28 +99,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    # arithmetic sugar; a scalar operand makes one affine node
-
-    def __add__(self, other):
-        return affine(self, 1.0, other) if _is_scalar(other) else add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return affine(self, 1.0, -other) if _is_scalar(other) else sub(self, other)
-
-    def __rsub__(self, other):
-        return affine(self, -1.0, other)
-
-    def __mul__(self, other):
-        return affine(self, other) if _is_scalar(other) else mul(self, other)
-
-    __rmul__ = __mul__
-
-
-def _is_scalar(x) -> bool:
-    return isinstance(x, (int, float, np.integer, np.floating))
 
 
 class _Node:
@@ -243,51 +226,11 @@ def _broadcast_shapes(a: Tensor, b: Tensor, op: str) -> None:
 # elementwise ops
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_shapes(a, b, "add")
-    return _apply("add", (a, b), a.data + b.data,
-                  lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_shapes(a, b, "sub")
-    return _apply("sub", (a, b), a.data - b.data,
-                  lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_shapes(a, b, "mul")
     return _apply("mul", (a, b), a.data * b.data,
                   lambda g: (_unbroadcast(g * b.data, a.shape),
                              _unbroadcast(g * a.data, b.shape)))
-
-
-def affine(a: Tensor, scale: float, shift: float = 0.0) -> Tensor:
-    """a * scale + shift for constants, which become Python floats.
-
-    A NumPy float64 constant would promote float32 data.  A zero shift is
-    not added, so a pure scale keeps signed zeros.
-    """
-    scale, shift = float(scale), float(shift)
-    out = a.data * scale
-    if shift:
-        out += shift
-    return _apply("affine", (a,), out, lambda g: (g * scale,))
-
-
-def pow_const(a: Tensor, p: float) -> Tensor:
-    """Elementwise a**p for constant p; p == 0 gives ones with zero gradient."""
-    if p == 0:
-        out = np.ones_like(a.data)
-        return _apply("pow_const", (a,), out, lambda g: (np.zeros_like(a.data),))
-    out = a.data ** p
-
-    def vjp(g):
-        # a zero g stays zero where a**(p-1) is inf (a == 0, p < 1), not 0 * inf = NaN
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (np.where(g == 0, g, g * p * a.data ** (p - 1)),)
-
-    return _apply("pow_const", (a,), out, vjp)
 
 
 def relu(a: Tensor, *, overwrite: bool = False) -> Tensor:

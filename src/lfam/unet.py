@@ -698,6 +698,9 @@ def load_checkpoint(path, cfg: UNetConfig) -> ModelState:
             arrays[name] = t.data
     except (struct.error, IndexError, UnicodeDecodeError, ContractError) as exc:
         raise CheckpointError(f"truncated or corrupt checkpoint {path}") from exc
+    if offset != len(buf):
+        raise CheckpointError(f"corrupt checkpoint {path}: {len(buf) - offset} bytes "
+                              f"after its last record (ends at byte {offset})")
     try:
         model.load_arrays(arrays)
     except (ContractError, ShapeError) as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import LfamConfig, LfamParams, ResidualSource, init_lfam_params, lfam_forward
-from .ops import ConvParams, conv2d, he_conv, upconv2x2
+from .ops import ConvParams, NormParams, channel_norm, conv2d, he_conv, upconv2x2
 from .rng import make_rng
 from .tensor import Tensor, grad_check, masked_softmax, mul, sum_all
 from .train import FocalIouLoss, focal_iou_loss, weighted_ce
@@ -63,6 +63,16 @@ def _check_upconv(seed: int) -> float:
     w = rng.normal(size=(1, 2, 8, 8))
     return grad_check(lambda t, wt: _weighted_sum(upconv2x2(t, ConvParams(wt, up.bias)), w),
                       x, up.weight)
+
+
+def _check_channel_norm(seed: int) -> float:
+    rng = make_rng(seed, stream=7)
+    x = Tensor(rng.normal(size=(2, 3, 4, 5)))
+    # scale and shift away from their 1/0 init, so a vjp that drops either shows
+    scale, shift = (Tensor(rng.normal(size=(1, 3, 1, 1))) for _ in range(2))
+    w = rng.normal(size=(2, 3, 4, 5))
+    return grad_check(lambda t, s, b: _weighted_sum(channel_norm(t, NormParams(s, b)), w),
+                      x, scale, shift)
 
 
 def _check_focal_iou(seed: int) -> float:
@@ -116,6 +126,7 @@ def gradient_suite(seed: int = 0) -> list[SuiteResult]:
         SuiteResult("masked_softmax", _check_masked_softmax(seed), POINTWISE_THRESHOLD),
         SuiteResult("conv2d", _check_conv2d(seed), POINTWISE_THRESHOLD),
         SuiteResult("upconv2x2", _check_upconv(seed), POINTWISE_THRESHOLD),
+        SuiteResult("channel_norm", _check_channel_norm(seed), POINTWISE_THRESHOLD),
         SuiteResult("focal_iou_loss", _check_focal_iou(seed), POINTWISE_THRESHOLD),
         SuiteResult("weighted_ce", _check_weighted_ce(seed), POINTWISE_THRESHOLD),
     ]

@@ -40,12 +40,10 @@ from lfam.rng import make_rng
 from lfam.tensor import (
     Tape,
     Tensor,
-    affine,
     backward,
     grad_check,
     masked_softmax,
     mul,
-    pow_const,
     reshape,
     sum_all,
     sum_axes,
@@ -56,6 +54,11 @@ def random_pair(rng, n=1, c=3, h=8, w=8, dtype=np.float64):
     enc = Tensor(rng.standard_normal((n, c, h, w)), dtype=dtype)
     dec = Tensor(rng.standard_normal((n, c, h, w)), dtype=dtype)
     return enc, dec
+
+
+def sum_sq(t: Tensor) -> Tensor:
+    """The sum of t's squares: a scalar test loss whose gradient is 2t."""
+    return sum_all(mul(t, t))
 
 
 class TestWindowPartition:
@@ -169,13 +172,13 @@ class TestWindows:
     OPS = {
         "pad_crop": (lambda x: sum_all(mul(crop_top_left(pad_bottom_right(x, _GRID_PAD), _GRID_PAD), x)),
                      (2, 2, 4, 5)),
-        "crop": (lambda x: sum_all(pow_const(crop_top_left(x, _GRID_PAD), 2.0)), (2, 2, 6, 6)),
-        "windows": (lambda x: sum_all(pow_const(
-            window_merge(mul(window_split(x, _GRID_2), _ROW_WEIGHTS), _GRID_2), 2.0)), (2, 2, 4, 4)),
-        "padded_windows": (lambda x: sum_all(pow_const(window_merge(
-            mul(window_split(x, _GRID_PAD), _PAD_ROW_WEIGHTS), _GRID_PAD, x), 2.0)), (2, 2, 4, 5)),
-        "residual": (lambda x: sum_all(pow_const(window_merge(
-            mul(window_split(_RESIDUAL, _GRID_PAD), _PAD_ROW_WEIGHTS), _GRID_PAD, x), 2.0)),
+        "crop": (lambda x: sum_sq(crop_top_left(x, _GRID_PAD)), (2, 2, 6, 6)),
+        "windows": (lambda x: sum_sq(
+            window_merge(mul(window_split(x, _GRID_2), _ROW_WEIGHTS), _GRID_2)), (2, 2, 4, 4)),
+        "padded_windows": (lambda x: sum_sq(window_merge(
+            mul(window_split(x, _GRID_PAD), _PAD_ROW_WEIGHTS), _GRID_PAD, x)), (2, 2, 4, 5)),
+        "residual": (lambda x: sum_sq(window_merge(
+            mul(window_split(_RESIDUAL, _GRID_PAD), _PAD_ROW_WEIGHTS), _GRID_PAD, x)),
             (2, 2, 4, 5)),
     }
 
@@ -475,7 +478,7 @@ class TestWindowCore:
             scores = sum_axes(mul(reshape(q2, (rows, mm, 1, d)), reshape(k2, (rows, 1, mm, d))), (3,))
             scores = reshape(scores, (n, nw, mm, mm))
             if scale is not None:
-                scores = affine(scores, scale)
+                scores = mul(scores, Tensor(np.full((1, 1, 1, 1), scale, dtype=dtype)))
             weights = masked_softmax(scores, mask)
             pv = mul(reshape(weights, (rows, mm, mm, 1)), reshape(v2, (rows, 1, mm, d)))
             want = reshape(sum_axes(pv, (2,)), q.shape)
@@ -854,7 +857,7 @@ class TestBufferReuse:
         enc.requires_grad = dec.requires_grad = True
         params = init_lfam_params(4, rng)
         with Tape() as tape:
-            loss = sum_all(pow_const(lfam_forward(enc, dec, params, LfamConfig(local_range=4)), 2.0))
+            loss = sum_sq(lfam_forward(enc, dec, params, LfamConfig(local_range=4)))
         leaves = (enc, dec) + params.tensors()
         backward(tape, loss)
         once = [t.grad.copy() for t in leaves]
@@ -932,7 +935,7 @@ class TestGradients:
         def f(e, d, wq):
             from lfam.ops import ConvParams
             q = LfamParams(ConvParams(wq, params.query.bias), params.key, params.value)
-            return sum_all(pow_const(lfam_forward(e, d, q, cfg), 2.0))
+            return sum_sq(lfam_forward(e, d, q, cfg))
 
         assert grad_check(f, Tensor(enc, dtype=np.float64), Tensor(dec, dtype=np.float64),
                           params.query.weight) < 1e-4

@@ -5,8 +5,10 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import typing
 from dataclasses import fields
 from pathlib import Path
@@ -20,6 +22,7 @@ import lfam.cli
 from lfam.cli import (
     EXIT_CONFIG,
     EXIT_FILE,
+    EXIT_INTERRUPT,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PIPE,
@@ -219,6 +222,34 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def child_pids(pid: int) -> list[int]:
+    """The live processes whose parent is pid, read from /proc."""
+    found = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                state, ppid = fh.read().rsplit(")", 1)[1].split()[:2]
+        except (FileNotFoundError, ProcessLookupError):  # it exited meanwhile
+            continue
+        if int(ppid) == pid and state != "Z":
+            found.append(int(entry))
+    return found
+
+
+def gone_within(pid: int, seconds: float) -> bool:
+    """True once pid has exited within seconds; a zombie counts as exited."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return True
+        except FileNotFoundError:
+            return True
+        time.sleep(0.05)
+    return False
+
+
 class TestSubcommands:
     def test_train_writes_log_and_provenance(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_TRAIN)
@@ -235,6 +266,35 @@ class TestSubcommands:
         assert len(log) == 3  # header + 2 epochs
         assert (out / "best.ckpt").exists()
         assert "best val mean IoU" in capsys.readouterr().out
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads child processes from /proc")
+    def test_ctrl_c_mid_training_exits_130_with_no_traceback_and_no_worker(self, tmp_path):
+        # 64x64 batches of 4 split into two shards: with two usable cores the
+        # second runs in a forked worker, which must not outlive the caller
+        cfg = write_cfg(tmp_path, "data.size=64\ndata.n_images=8\nunet.depth=1\n"
+                                  "lfam.local_range=16\ntrain.epochs=500\ntrain.batch_size=4\n")
+        out = tmp_path / "out"
+        src = str(Path(lfam.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen([sys.executable, "-m", "lfam.cli", "train", "--config", cfg, "--out", str(out)],
+                                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not (out / "run.json").exists():  # written just before training starts
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            time.sleep(1.0)  # into the training steps
+            workers = child_pids(proc.pid)
+            os.killpg(proc.pid, signal.SIGINT)  # Ctrl-C reaches the whole process group
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == EXIT_INTERRUPT, err
+        assert "Traceback" not in err and err.splitlines()[-1] == "interrupted"
+        if json.loads((out / "run.json").read_text())["shards"] == "worker":
+            assert workers
+        assert all(gone_within(pid, 5) for pid in workers)
 
     def test_identical_runs_produce_identical_log_bytes(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_TRAIN)
@@ -479,6 +539,14 @@ class TestSubcommands:
         assert code == EXIT_PIPE and code != EXIT_FILE
         assert redirected
         assert capsys.readouterr().err == ""
+
+    def test_keyboard_interrupt_exits_130_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(lfam.cli, "dispatch", interrupted)
+        assert main(["cost", "--out", str(tmp_path / "c")]) == EXIT_INTERRUPT == 128 + signal.SIGINT
+        assert capsys.readouterr().err == "interrupted\n"
 
     def test_cost_input_smaller_than_the_network_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, "cost.geometry=model\ncost.input_size=2\nunet.depth=2\n")

@@ -260,7 +260,9 @@ class TestPgmRoundTrip:
 
     @pytest.mark.parametrize("raw", [b"P5\nxx 4\n255\n", b"P5\n4", b"P5\n# c",
                                      b"P5\n" + b"9" * 5000 + b" 1\n255\n",
-                                     b"P5\n0 4\n255\n", b"P5\n2 2\n65535\n" + bytes(8)])
+                                     b"P5\n0 4\n255\n", b"P5\n2 2\n65535\n" + bytes(8),
+                                     # the magic P5 with no whitespace after it: "P512" is no width 12
+                                     b"P512 2\n255\n" + bytes(24), b"P5#c\n2 2\n255\n" + bytes(4)])
     def test_malformed_header_raises_pgm_error(self, tmp_path, raw):
         (tmp_path / "m.pgm").write_bytes(raw)
         with pytest.raises(PgmError):

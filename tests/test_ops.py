@@ -11,6 +11,7 @@ from lfam import ops
 from lfam.errors import ContractError, ShapeError
 from lfam.ops import (
     ConvParams,
+    NormParams,
     channel_norm,
     conv2d,
     he_conv,
@@ -19,13 +20,18 @@ from lfam.ops import (
     upconv2x2,
 )
 from lfam.rng import make_rng
-from lfam.tensor import Tape, Tensor, backward, grad_check, mul, pow_const, sum_all
+from lfam.tensor import Tape, Tensor, backward, grad_check, mul, relu, sum_all
 
 # (k, in_ch, out_ch, size, channel_major); conv2d pads k // 2.  in_ch 1 takes
 # the stacked-tap product forward, out_ch 1 in the input gradient; the others
 # take one GEMM per tap.  channel_major inputs are (c, n, h, w) in memory.
 CONV_SPECS = [(1, 3, 2, 6, False), (1, 3, 2, 6, True), (3, 3, 2, 6, False),
               (3, 3, 2, 7, True), (3, 1, 2, 6, False), (3, 2, 1, 7, True)]
+
+
+def sum_sq(t: Tensor) -> Tensor:
+    """The sum of t's squares: a scalar test loss whose gradient is 2t."""
+    return sum_all(mul(t, t))
 
 
 def conv_oracle(x, w, b, stride=1, pad=0):
@@ -192,7 +198,7 @@ class TestConv2d:
         p = make_params(rng, 2, 3, 3)
 
         def f(t, w, b):
-            return sum_all(pow_const(conv2d(t, ConvParams(w, b)), 2.0))
+            return sum_sq(conv2d(t, ConvParams(w, b)))
 
         assert grad_check(f, Tensor(x, dtype=np.float64), p.weight, p.bias) < 1e-4
 
@@ -320,7 +326,7 @@ class TestMaxpool:
         rng = make_rng(8)
         # well-separated values keep the argmax stable under the probe eps
         x = rng.standard_normal((2, 3, 4, 4)) * 10
-        assert grad_check(lambda t: sum_all(pow_const(maxpool2x2(t), 2.0)),
+        assert grad_check(lambda t: sum_sq(maxpool2x2(t)),
                           Tensor(x, dtype=np.float64)) < 1e-4
 
 
@@ -378,7 +384,7 @@ class TestUpconv:
         p = make_params(rng, 2, 3, 2)
 
         def f(t, w, b):
-            return sum_all(pow_const(upconv2x2(t, ConvParams(w, b)), 2.0))
+            return sum_sq(upconv2x2(t, ConvParams(w, b)))
 
         assert grad_check(f, Tensor(x, dtype=np.float64), p.weight, p.bias) < 1e-4
 
@@ -416,8 +422,65 @@ class TestChannelNorm:
         rng = make_rng(2)
         x = rng.standard_normal((1, 2, 4, 4))
         norm = init_norm(2, dtype=np.float64)
-        assert grad_check(lambda t: sum_all(pow_const(channel_norm(t, norm), 2.0)),
+        assert grad_check(lambda t: sum_sq(channel_norm(t, norm)),
                           Tensor(x, dtype=np.float64)) < 1e-4
+
+    def test_forward_keeps_the_bits_of_the_composed_float32_chain(self):
+        # the former eleven-node form: mean, centre, variance, (var + 1e-5) ** -0.5,
+        # then (xc * inv_std) * scale + shift, every constant a Python float
+        rng = make_rng(5)
+        x = (rng.standard_normal((4, 6, 12, 12)) * 3 + 1).astype(np.float32)
+        scale, shift = (rng.standard_normal((1, 6, 1, 1)).astype(np.float32) for _ in range(2))
+        inv_hw = 1.0 / 144
+        xc = x - x.sum(axis=(2, 3), keepdims=True) * inv_hw
+        var = (xc * xc).sum(axis=(2, 3), keepdims=True) * inv_hw
+        want = xc * (var + 1e-5) ** -0.5 * scale + shift
+        got = channel_norm(Tensor(x), NormParams(Tensor(scale), Tensor(shift))).data
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_flat_plane_gives_the_shift_and_finite_gradients(self, dtype):
+        # the 1e-5 under the square root keeps a zero-variance plane finite
+        x = Tensor(np.full((1, 2, 4, 4), 3.0, dtype), requires_grad=True)
+        p = init_norm(2, dtype=dtype)
+        p.shift.data[...] = np.array([0.5, -2.0]).reshape(1, 2, 1, 1)
+        with Tape() as tape:
+            y = channel_norm(x, p)
+            loss = sum_sq(y)
+        backward(tape, loss)
+        np.testing.assert_array_equal(y.data, np.broadcast_to(p.shift.data, x.shape))
+        np.testing.assert_array_equal(p.shift.grad, 2 * 16 * p.shift.data)
+        for t in (x, p.scale):
+            assert np.isfinite(t.grad).all()
+
+    def test_gradient_under_an_overwriting_relu(self):
+        # unet's relu writes into the norm's output, so a vjp that read its
+        # output would see relu(out) and get the gradient wrong
+        rng = make_rng(3)
+        x, scale, shift, w = (Tensor(rng.standard_normal(shape), dtype=np.float64)
+                              for shape in ((2, 3, 4, 5), (1, 3, 1, 1), (1, 3, 1, 1), (2, 3, 4, 5)))
+
+        def f(t, s, b):
+            return sum_all(mul(relu(channel_norm(t, NormParams(s, b)), overwrite=True), w))
+
+        assert grad_check(f, x, scale, shift) < 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_node_that_keeps_the_dtype_and_leaves_g_unchanged(self, dtype):
+        rng = make_rng(4)
+        x, scale, shift = (Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+                           for shape in ((2, 3, 4, 4), (1, 3, 1, 1), (1, 3, 1, 1)))
+        with Tape() as tape:
+            out = channel_norm(x, NormParams(scale, shift))
+        (node,) = tape.nodes
+        assert node.op == "channel_norm"
+        g = rng.standard_normal(out.shape).astype(dtype)
+        g0 = g.copy()
+        grads = node.vjp(g)
+        np.testing.assert_array_equal(g, g0)
+        assert [a.dtype for a in (out.data, *grads)] == [dtype] * 4
+        assert [a.shape for a in grads] == [x.shape, (1, 3, 1, 1), (1, 3, 1, 1)]
 
 
 class TestInit:

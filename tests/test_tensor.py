@@ -13,18 +13,14 @@ from lfam.tensor import (
     Tape,
     Tensor,
     _apply,
-    add,
-    affine,
     backward,
     concat_channels,
     grad_check,
     masked_softmax,
     mul,
     permute,
-    pow_const,
     relu,
     reshape,
-    sub,
     sum_all,
     sum_axes,
     tensor_from_bytes,
@@ -41,6 +37,21 @@ def softmax_oracle(x: np.ndarray, mask) -> np.ndarray:
         rowmax = np.max(np.where(mb, x, -np.inf), axis=3, keepdims=True)
         e = np.where(mb, np.exp(np.where(mb, x - rowmax, 0.0)), 0.0)
     return e / e.sum(axis=3, keepdims=True)
+
+
+def scaled(x: Tensor, c: float) -> Tensor:
+    """x times the constant c, as a mul by a constant tensor of x's dtype."""
+    return mul(x, Tensor(np.full((1, 1, 1, 1), c, dtype=x.dtype)))
+
+
+def plus(a: Tensor, b: Tensor) -> Tensor:
+    """a + b as one node whose vjp hands the same g to both inputs."""
+    return _apply("plus", (a, b), a.data + b.data, lambda g: (g, g))
+
+
+def sum_sq(t: Tensor) -> Tensor:
+    """The sum of t's squares: a scalar test loss whose gradient is 2t."""
+    return sum_all(mul(t, t))
 
 
 def _window_mask(kind):
@@ -76,33 +87,7 @@ class TestConstruction:
             Tensor(np.zeros((1, 1, 2, 2))).item()
 
 
-class TestAffine:
-    def test_scalar_sugar_records_one_affine_node_each(self):
-        x = np.array([-1.5, 0.25, 3.0], dtype=np.float32)
-        t = Tensor(x, requires_grad=True)
-        cases = [(lambda a: a + 2.0, x + 2.0), (lambda a: a - 2.0, x - 2.0),
-                 (lambda a: 2.0 - a, 2.0 - x), (lambda a: a * 3.0, x * 3.0)]
-        for fn, want in cases:
-            with Tape() as tape:
-                out = fn(t)
-            assert [node.op for node in tape.nodes] == ["affine"]
-            assert out.dtype == np.float32
-            np.testing.assert_array_equal(out.data[0, 0, 0], want)
-
-    def test_numpy_float64_constant_keeps_float32(self):
-        t = Tensor(np.ones((1, 2, 2, 2), dtype=np.float32), requires_grad=True)
-        with Tape() as tape:
-            loss = sum_all(affine(t, np.float64(0.3), np.float64(0.1)))
-        assert loss.dtype == np.float32
-        backward(tape, loss)
-        assert t.grad.dtype == np.float32
-
-    def test_pure_scale_keeps_signed_zeros(self):
-        zeros = Tensor(np.array([-0.0, 0.0]), dtype=np.float64)
-        np.testing.assert_array_equal(np.signbit(affine(zeros, 2.0).data.ravel()), [True, False])
-        np.testing.assert_array_equal(np.signbit(affine(zeros, 1.0, 0.0).data.ravel()),
-                                      [True, False])
-
+class TestSumAll:
     @pytest.mark.parametrize("layout", ["c_order", "channel_major", "strided"])
     def test_sum_all_is_a_bitwise_sum_axes_node(self, layout):
         x = make_rng(19).standard_normal((3, 5, 12, 18)).astype(np.float32)
@@ -221,7 +206,7 @@ class TestOverwrite:
     def test_relu_gradient_reads_only_the_output(self):
         x = Tensor(make_rng(20).standard_normal((2, 3, 5, 5)), requires_grad=True, dtype=np.float64)
         with Tape() as tape:
-            loss = sum_all(relu(affine(x, 1.0), overwrite=True))
+            loss = sum_all(relu(scaled(x, 1.0), overwrite=True))
         backward(tape, loss)
         np.testing.assert_array_equal(x.grad, (x.data > 0).astype(np.float64))
 
@@ -232,28 +217,28 @@ class TestOwnedFlows:
     @staticmethod
     def _softmax_into_add(view):
         # y feeds an op recorded before the softmax, so its flow still holds
-        # the add's g (or the array a view of g belongs to) when the softmax
-        # vjp runs; a vjp writing into g would corrupt y.grad
+        # the plus node's g (or the array a view of g belongs to) when the
+        # softmax vjp runs; a vjp writing into g would corrupt y.grad
         rng = make_rng(21)
         x = Tensor(rng.standard_normal((1, 2, 3, 4)), requires_grad=True, dtype=np.float64)
         y = Tensor(rng.standard_normal((1, 2, 4, 3) if view == "permute" else (1, 2, 3, 4)),
                    requires_grad=True, dtype=np.float64)
         r = Tensor(rng.standard_normal(y.shape), dtype=np.float64)
         with Tape() as tape:
-            z = affine(y, 3.0)
-            w = masked_softmax(affine(x, 1.0), None)
+            z = scaled(y, 3.0)
+            w = masked_softmax(scaled(x, 1.0), None)
             if view == "permute":
                 w = permute(w, (0, 1, 3, 2))
             elif view == "reshape":
                 w = reshape(w, y.shape)
-            loss = add(sum_all(mul(add(w, y), r)), sum_all(z))
+            loss = plus(sum_all(mul(plus(w, y), r)), sum_all(z))
         backward(tape, loss)
         p = masked_softmax(Tensor(x.data), None).data
         gp = r.data.transpose(0, 1, 3, 2) if view == "permute" else r.data
         return x, y, r, p * (gp - (gp * p).sum(axis=3, keepdims=True))
 
     @pytest.mark.parametrize("view", [None, "reshape", "permute"])
-    def test_softmax_gradient_shared_with_an_add(self, view):
+    def test_softmax_gradient_shared_with_a_plus(self, view):
         x, y, r, gx = self._softmax_into_add(view)
         np.testing.assert_array_equal(y.grad, r.data + 3.0)
         np.testing.assert_allclose(x.grad, gx, rtol=1e-12, atol=1e-15)
@@ -269,8 +254,8 @@ class TestOwnedFlows:
             return (shared, shared)
 
         with Tape() as tape:
-            w1 = masked_softmax(affine(x1, 1.0), None)
-            w2 = masked_softmax(affine(x2, 1.0), None)
+            w1 = masked_softmax(scaled(x1, 1.0), None)
+            w2 = masked_softmax(scaled(x2, 1.0), None)
             loss = sum_all(mul(_apply("pair", (w1, w2), w1.data + w2.data, both), r))
         backward(tape, loss)
         for x in (x1, x2):
@@ -284,7 +269,7 @@ class TestOwnedFlows:
         x = Tensor(rng.standard_normal((2, 3, 16, 16)), requires_grad=True, dtype=np.float64)
         g = rng.standard_normal(x.shape)
         with Tape() as tape:
-            masked_softmax(affine(x, 1.0), _window_mask(kind))
+            masked_softmax(scaled(x, 1.0), _window_mask(kind))
         node = tape.nodes[-1]
         g0 = g.copy()
         node.vjp(g)
@@ -292,15 +277,6 @@ class TestOwnedFlows:
 
 
 class TestBackward:
-    def test_add_gives_unit_grads(self):
-        a = Tensor(np.zeros((1, 1, 2, 2)), requires_grad=True)
-        b = Tensor(np.zeros((1, 1, 2, 2)), requires_grad=True)
-        with Tape() as tape:
-            loss = sum_all(add(a, b))
-        backward(tape, loss)
-        np.testing.assert_array_equal(a.grad, np.ones_like(a.data))
-        np.testing.assert_array_equal(b.grad, np.ones_like(b.data))
-
     def test_second_backward_doubles_exactly(self):
         rng = make_rng(1)
         x = Tensor(rng.standard_normal((1, 2, 3, 3)), requires_grad=True)
@@ -315,9 +291,9 @@ class TestBackward:
         # d/dx of 8x when x feeds a doubling chain; a revisit bug would miscount
         x = Tensor(np.full((1, 1, 1, 1), 3.0), requires_grad=True)
         with Tape() as tape:
-            b = add(x, x)
-            c = add(b, b)
-            d = add(c, c)
+            b = plus(x, x)
+            c = plus(b, b)
+            d = plus(c, c)
             loss = sum_all(d)
         backward(tape, loss)
         assert x.grad.ravel()[0] == 8.0
@@ -334,7 +310,7 @@ class TestBackward:
         x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
         for _ in range(2):
             with Tape() as tape:
-                loss = sum_all(affine(x, 3.0))
+                loss = sum_all(scaled(x, 3.0))
             backward(tape, loss)
         np.testing.assert_array_equal(x.grad, np.full_like(x.data, 6.0))
 
@@ -375,19 +351,12 @@ class TestBackward:
 
 class TestGradCheck:
     OPS = {
-        "add": lambda x: sum_all(mul(add(x, x), x)),
-        "sub": lambda x: sum_all(mul(sub(x, affine(x, 0.5)), x)),
         "mul": lambda x: sum_all(mul(x, x)),
-        "affine_scale": lambda x: sum_all(mul(affine(x, -1.5), x)),
-        "affine_shift": lambda x: sum_all(mul(affine(x, 1.0, 2.0), x)),
-        "affine_rsub": lambda x: sum_all(mul(1.5 - x, x)),
-        "pow2": lambda x: sum_all(pow_const(x, 2.0)),
-        "pow0": lambda x: sum_all(mul(pow_const(x, 0.0), x)),
         "relu": lambda x: sum_all(mul(relu(x), x)),
         "sum_axes": lambda x: sum_all(mul(sum_axes(x, (1, 2)), sum_axes(x, (0, 3)))),
         "reshape": lambda x: sum_all(mul(reshape(x, (1, 1, 4, int(x.size // 4))), reshape(x, (1, 1, 4, int(x.size // 4))))),
         "permute": lambda x: sum_all(mul(permute(x, (1, 0, 3, 2)), permute(x, (1, 0, 3, 2)))),
-        "masked_softmax": lambda x: sum_all(pow_const(masked_softmax(x, _MASK[: x.shape[0]]), 2.0)),
+        "masked_softmax": lambda x: sum_sq(masked_softmax(x, _MASK[: x.shape[0]])),
     }
 
     @pytest.mark.parametrize("name", sorted(OPS))
@@ -405,7 +374,7 @@ class TestGradCheck:
         b = Tensor(rng.standard_normal((1, 3, 3, 3)), dtype=np.float64)
 
         def f(x):
-            return sum_all(pow_const(concat_channels(x, b), 2.0))
+            return sum_sq(concat_channels(x, b))
 
         assert grad_check(f, Tensor(a, dtype=np.float64)) < 1e-4
 

@@ -14,7 +14,7 @@ from lfam.attention import LfamConfig, ResidualSource, global_attention_oracle, 
 from lfam.errors import (CheckpointError, ConfigError, ContractError, NumericalError, ShapeError,
                          ShardWorkerError)
 from lfam.rng import make_rng
-from lfam.tensor import Tape, Tensor, backward, grad_check, leaf_grads, pow_const, sum_all
+from lfam.tensor import Tape, Tensor, backward, grad_check, leaf_grads, mul, sum_all
 from lfam.ops import he_conv
 from lfam.train import FocalIouLoss, focal_iou_loss, init_optimizer, optimizer_step
 from lfam.unet import (
@@ -30,6 +30,11 @@ from lfam.unet import (
 )
 
 LFAM4 = SkipSpec(kind="lfam", lfam=LfamConfig(local_range=4))
+
+
+def sum_sq(t: Tensor) -> Tensor:
+    """The sum of t's squares: a scalar test loss whose gradient is 2t."""
+    return sum_all(mul(t, t))
 
 
 def small_cfg(skip="concat", **kw):
@@ -147,7 +152,7 @@ class TestForward:
         relus = [node for node in tape.nodes if node.op == "relu"]
         assert len(relus) == 10  # 2 per block: 2 encoder, bottleneck, 2 decoder
         for node in relus:
-            assert made[id(node.inputs[0])] == ("add" if norm else "conv2d")
+            assert made[id(node.inputs[0])] == ("channel_norm" if norm else "conv2d")
             assert np.shares_memory(node.out.data, node.inputs[0].data)
 
     def test_forward_deterministic(self):
@@ -177,7 +182,7 @@ class TestForward:
         model = build_unet(small_cfg("lfam"), seed=8)
         x = Tensor(make_rng(9).standard_normal((1, 1, 8, 8)).astype(np.float32))
         with Tape() as tape:
-            loss = sum_all(pow_const(forward(model, x), 2.0))
+            loss = sum_sq(forward(model, x))
         backward(tape, loss)
         # every .grad is a view from build_unet on, so ask the tape what it reaches
         reached = {id(t) for t, _ in leaf_grads(tape, loss, np.ones_like(loss.data))}
@@ -192,7 +197,7 @@ class TestForward:
         x = Tensor(make_rng(9).standard_normal((1, 1, 8, 8)).astype(np.float32))
         with Tape() as tape:
             logits = forward(model, x)
-            loss = sum_all(pow_const(logits, 2.0))
+            loss = sum_sq(logits)
         backward(tape, loss)
         assert logits.dtype == np.float32
         for name, t in model.params.items():
@@ -212,7 +217,7 @@ class TestForward:
         x = make_rng(13).standard_normal((1, 1, 8, 8))
 
         def f(t):
-            return sum_all(pow_const(forward(model, t), 2.0))
+            return sum_sq(forward(model, t))
 
         assert grad_check(f, Tensor(x, dtype=np.float64)) < 1e-3
 
@@ -760,6 +765,15 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(CheckpointError):
+            load_checkpoint(path, small_cfg())
+
+    def test_bytes_after_the_last_record_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, build_unet(small_cfg(), seed=0))
+        size = path.stat().st_size
+        with open(path, "ab") as fh:
+            fh.write(bytes(range(70)))
+        with pytest.raises(CheckpointError, match=f"70 bytes after its last record \\(ends at byte {size}\\)"):
             load_checkpoint(path, small_cfg())
 
     def test_file_shorter_than_the_header_rejected(self, tmp_path):

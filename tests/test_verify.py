@@ -22,7 +22,7 @@ class TestSuiteResults:
     def test_suite_covers_required_checks(self):
         # cheap structural check; the acceptance suite runs the real thing
         names = [r.name for r in _CACHED_SUITE]
-        for needed in ("masked_softmax", "conv2d", "upconv2x2",
+        for needed in ("masked_softmax", "conv2d", "upconv2x2", "channel_norm",
                        "focal_iou_loss", "weighted_ce", "unet-end-to-end"):
             assert needed in names
         lfam_rows = [n for n in names if n.startswith("lfam/")]
